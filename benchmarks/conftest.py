@@ -12,7 +12,9 @@ the reproduced table/series the experiment is about.
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,20 @@ def record_env(tag: str) -> bool:
     ``REPRO_E24_RECORD``.
     """
     return env_flag(f"REPRO_{tag}_RECORD")
+
+
+def recorded_parity(trajectory: Path, txns: int) -> dict[str, int]:
+    """``parity_counters`` of the newest full-size trajectory entry.
+
+    Full-size means recorded outside smoke mode over ``txns``
+    transactions, the stream the experiment runs now.
+    """
+    entries = [
+        entry
+        for entry in json.loads(trajectory.read_text())
+        if not entry["smoke"] and entry["txns"] == txns
+    ]
+    return entries[-1]["parity_counters"]
 
 
 @pytest.fixture

@@ -539,6 +539,14 @@ def parse_view_expression(body: str) -> Expression:
 
 def _format_record(record) -> str:
     """One ``follow`` output line for a WAL record."""
+    if record.declarations is not None:
+        doc = record.declarations
+        keys = " ".join("(" + ",".join(key) + ")" for key in doc["keys"])
+        return (
+            f"seq={record.sequence} declarations {doc['relation']}: "
+            f"keys={keys or '-'} foreign_keys={len(doc['foreign_keys'])} "
+            f"constraint={doc['constraint'] or '-'}"
+        )
     parts = []
     for name in sorted(record.deltas_doc):
         delta_doc = record.deltas_doc[name]
@@ -862,17 +870,13 @@ def run_simulate(
     ddl: bool = True,
     corruption: bool = False,
     trace: bool = False,
-    use_codegen: bool = True,
     emit=print,
 ) -> int:
     """The ``simulate`` verb; returns the process exit code.
 
     Output is a pure function of the arguments (the harness owns all
     randomness and time), so piping two runs with the same seed through
-    ``diff`` is itself a determinism test.  ``use_codegen=False``
-    (``--interpreter``) pins every copy to the per-tuple interpreter —
-    the oracle rounds then certify the ablation baseline the generated
-    kernels are checked against.
+    ``diff`` is itself a determinism test.
     """
     from repro.simulation import SimulationConfig, run_simulation
 
@@ -887,7 +891,6 @@ def run_simulate(
         partitions=partitions,
         ddl=ddl,
         corruption=corruption,
-        use_codegen=use_codegen,
     )
     report = run_simulation(config)
     emit(report.format())
@@ -1182,13 +1185,6 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", action="store_true", help="print every episode's full trace"
     )
     simulate_parser.add_argument(
-        "--interpreter", action="store_true",
-        help=(
-            "maintain every copy with the per-tuple interpreter instead "
-            "of the generated batch kernels (docs/codegen.md ablation)"
-        ),
-    )
-    simulate_parser.add_argument(
         "--sharded", action="store_true",
         help="run the sharded-cluster harness instead (docs/cluster.md)",
     )
@@ -1283,7 +1279,6 @@ def main(argv: list[str] | None = None) -> int:
                 ddl=not options.no_ddl,
                 corruption=options.corruption,
                 trace=options.trace,
-                use_codegen=not options.interpreter,
             )
         if options.command == "monitor":
             return run_monitor(

@@ -39,7 +39,7 @@ from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows, render_r
 from repro.core.differential import (
     changed_positions_for,
     compute_view_delta,
-    execute_planner,
+    execute_kernels,
 )
 from repro.core.compiled import CompiledViewPlan
 from repro.core.plancache import PlanCache, PlanCacheStats
@@ -70,7 +70,7 @@ __all__ = [
     "render_row",
     "changed_positions_for",
     "compute_view_delta",
-    "execute_planner",
+    "execute_kernels",
     "CompiledViewPlan",
     "PlanCache",
     "PlanCacheStats",

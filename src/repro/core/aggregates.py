@@ -11,18 +11,15 @@ per-group accumulator can provide.  COUNT/SUM/AVG would get away with
 plain totals; the implementation keeps the bag uniformly so one fold
 and one renderer cover the whole supported class.
 
-The fold protocol mirrors the generated aggregate kernel
-(:func:`repro.core.codegen.generate_aggregate_source`) *exactly* —
-same touched-group ordering, same mutation order, same underflow
-signalling — so the ``use_codegen`` ablation is byte-for-byte and
-counter-for-counter comparable.  Both are driven by
+The fold itself is generated code
+(:func:`repro.core.codegen.generate_aggregate_source`), driven by
 :meth:`repro.core.compiled.CompiledViewPlan.fold_aggregate`, which owns
-the instrumentation charges and the visible-delta assembly.
+the instrumentation charges and the visible-delta assembly; this module
+holds the state it folds into and the renderers that build the state
+from a full evaluation and read it back out.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from repro.algebra.aggregates import (
     AggregateSpec,
@@ -34,14 +31,6 @@ from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
 
 ValueTuple = tuple[int, ...]
-#: (touched keys in deterministic order, key → visible row before,
-#:  key → visible row after, offending core row on underflow or None).
-FoldResult = tuple[
-    "dict[ValueTuple, int]",
-    "dict[ValueTuple, ValueTuple]",
-    "dict[ValueTuple, ValueTuple]",
-    "ValueTuple | None",
-]
 
 
 class AggregateState:
@@ -114,65 +103,6 @@ class AggregateState:
         if not bag:
             return None
         return render_group(key, bag, self.plans)
-
-    def fold(
-        self,
-        inserted: Mapping[ValueTuple, int],
-        deleted: Mapping[ValueTuple, int],
-    ) -> FoldResult:
-        """The interpreter fold — the oracle the generated kernel mirrors.
-
-        Collects the touched groups (inserts first, then deletes, in
-        delta order), renders their before-rows, applies the core delta
-        to the support bags, and renders the after-rows.  An underflow
-        (deleting more copies of a core row than its group supports)
-        aborts mid-mutation and returns the offending row in the fourth
-        slot; the driver raises — the same fatal-invariant contract as
-        :meth:`repro.algebra.relation.Relation.discard`.
-        """
-        positions = self.key_positions
-        plans = self.plans
-        groups = self.groups
-        touched: dict[ValueTuple, int] = {}
-        for values in inserted:
-            touched[tuple(values[i] for i in positions)] = 1
-        for values in deleted:
-            touched[tuple(values[i] for i in positions)] = 1
-        before: dict[ValueTuple, ValueTuple] = {}
-        for key in touched:
-            bag = groups.get(key)
-            if bag:
-                row = render_group(key, bag, plans)
-                if row is not None:
-                    before[key] = row
-        for values, count in inserted.items():
-            key = tuple(values[i] for i in positions)
-            bag = groups.get(key)
-            if bag is None:
-                groups[key] = {values: count}
-            else:
-                bag[values] = bag.get(values, 0) + count
-        for values, count in deleted.items():
-            key = tuple(values[i] for i in positions)
-            bag = groups.get(key)
-            remaining = (bag.get(values, 0) if bag is not None else 0) - count
-            if remaining < 0:
-                return touched, before, {}, values
-            assert bag is not None
-            if remaining:
-                bag[values] = remaining
-            else:
-                del bag[values]
-                if not bag:
-                    del groups[key]
-        after: dict[ValueTuple, ValueTuple] = {}
-        for key in touched:
-            bag = groups.get(key)
-            if bag:
-                row = render_group(key, bag, plans)
-                if row is not None:
-                    after[key] = row
-        return touched, before, after, None
 
     def __len__(self) -> int:
         return len(self.groups)

@@ -1,49 +1,46 @@
-"""Generated batch kernels for the maintenance hot path.
+"""Generated batch kernels: the maintenance engine's executable form.
 
-The interpreter in :mod:`repro.core.planner` and
-:mod:`repro.core.irrelevance` re-dispatches per tuple: every screened
-tuple walks condition ASTs, every joined tuple goes through generic
-step objects and closure predicates.  Algorithm 4.1 already amortizes
-the *planning* work (invariant split, APSP) once per batch; this module
-finishes the job in the DBToaster tradition by amortizing the
-*dispatch* as well — at plan-compile time each
-:class:`~repro.core.compiled.CompiledViewPlan` emits straight-line
-Python source, ``compile()``s it once, and thereafter every transaction
-runs the generated closures over whole batches:
+At plan-compile time each :class:`~repro.core.compiled.CompiledViewPlan`
+emits straight-line Python source, ``compile()``s it once, and
+thereafter every transaction runs the generated functions over whole
+batches — the DBToaster tradition of amortizing per-tuple *dispatch*
+the way Algorithm 4.1 amortizes per-batch *planning* (invariant split,
+APSP):
 
 * **screen kernels** — one per (view, relation-occurrence set): the
   Definition 4.2 invariant/variant split evaluated over a columnar
   :class:`DeltaBatch`, with the invariant APSP distances baked into the
   source as integer literals and the variant bounds unrolled into
   ``min``/``max`` expressions plus the O(B²) negative-cycle probes;
-* **row kernels** — one per truth-table shape: the Section 5.3 rows
-  unrolled into a prefix-sharing trie of hash-join loops, with
+* **step functions** — one per (join step, OLD/DELTA choice) of a
+  truth-table shape: the step's hash-join or index-probe loop with
   equality-link keys, pre/post-filters and the paper's tag algebra all
-  inlined (``insert ⊗ delete`` pairs dropped in-loop);
+  inlined (``insert ⊗ delete`` pairs dropped in-loop).  A short shared
+  driver, :meth:`ShapeKernels.run`, walks the Section 5.3 rows over
+  them with a prefix memo, so the source grows linearly in the number
+  of occurrences, not in the number of rows;
 * **apply kernels** — one per shape: the final DNF re-check,
   projection and Section 5.2 multiplicity-counter folding into plain
   ``dict`` accumulators, collapsed to a net view delta by
-  :func:`repro.core.counting.net_counts`.
+  :func:`repro.core.counting.net_counts`;
+* **aggregate fold kernels** — one per aggregate view: the group-apply
+  of a core delta onto the per-group support bags.
 
-Generated source is a pure function of the plan structure — no
-timestamps, no ids, no dict-order dependence — so two compiles of the
-same plan emit byte-identical text (the CLI's ``explain <view> source``
-determinism check).  Every kernel preserves the interpreter's
-instrumentation counters exactly (charged in bulk by the drivers), and
-the ``use_codegen=False`` ablation keeps the interpreter as the oracle:
-both paths must agree byte-for-byte on every view state.
-
-Fallback rules: a shape whose truth table would unroll past
-:data:`MAX_CODEGEN_ROWS` rows (or a view past
-:data:`MAX_CODEGEN_OPERANDS` occurrences) is executed by the
-interpreter instead, charging ``codegen_fallback_tuples``; results are
-identical either way.
+The same engine runs every differential path and full evaluation
+(:func:`repro.core.planner.evaluate_normal_form` is the all-OLD row
+through the same driver).  Generated source is a pure function of the
+plan structure — no timestamps, no ids, no dict-order dependence — so
+two compiles of the same plan emit byte-identical text (the CLI's
+``explain <view> source`` determinism check).  Correctness is checked
+against full recomputation by the independent tree evaluator
+(:func:`repro.algebra.evaluate.evaluate`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.relation import Delta
@@ -52,6 +49,7 @@ from repro.algebra.tags import Tag
 from repro.core.graph import INF, ZERO
 from repro.core.truthtable import DeltaRowChoice, Rows
 from repro.errors import MaintenanceError
+from repro.instrumentation import charge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
@@ -63,44 +61,33 @@ ValueTuple = tuple[int, ...]
 
 #: Bumped whenever the shape of the generated source changes; part of
 #: the plan fingerprint so a cached plan compiled by an older generator
-#: can never be served to a newer runtime (and so toggling
-#: ``use_codegen`` evicts, rather than reuses, cached plans).
+#: can never be served to a newer runtime.
 #: v2: aggregate fold kernels (group-apply + unrolled renderers).
 #: v3: counter-free apply kernels (derived view keys pin counters to 1).
-CODEGEN_VERSION = 3
-
-#: Views with more occurrences than this fall back to the interpreter
-#: wholesale (the unrolled trie would be enormous and cold).
-MAX_CODEGEN_OPERANDS = 8
-
-#: Shapes whose truth table exceeds this many rows fall back too.
-MAX_CODEGEN_ROWS = 64
+#: v4: one function per (step, choice) under a shared row driver,
+#: replacing the fully unrolled row trie; no size caps.
+CODEGEN_VERSION = 4
 
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 
 def plan_fingerprint(
     normal_form: "NormalForm",
-    use_codegen: bool,
     aggregate: "AggregateSpec | None" = None,
 ) -> tuple:
     """The cache identity of a compiled plan.
 
-    Extends the definition's structural fingerprint with the executable
-    format: generated kernels are tagged with :data:`CODEGEN_VERSION`,
-    interpreter plans with a distinct marker.  Aggregate views mix in
-    their spec fingerprint — two views sharing one SPJ core but
-    different GROUP BY keys or aggregate lists are different
-    executables.  The plan cache compares this on every ``get``, so
-    flipping ``use_codegen`` (or upgrading the generator) evicts stale
-    plans instead of executing them.
+    Extends the definition's structural fingerprint with the generator
+    version (:data:`CODEGEN_VERSION`).  Aggregate views mix in their
+    spec fingerprint — two views sharing one SPJ core but different
+    GROUP BY keys or aggregate lists are different executables.  The
+    plan cache compares this on every ``get``, so upgrading the
+    generator evicts stale plans instead of executing them.
     """
     base: tuple = normal_form.fingerprint()
     if aggregate is not None:
         base = (base, aggregate.fingerprint())
-    if use_codegen:
-        return (base, ("codegen", CODEGEN_VERSION))
-    return (base, ("interpreter",))
+    return (base, ("codegen", CODEGEN_VERSION))
 
 
 class CodegenStats:
@@ -111,18 +98,16 @@ class CodegenStats:
     server ``stats`` op can report them without an active recorder.
     """
 
-    __slots__ = ("plans_compiled", "batch_rows", "fallback_tuples")
+    __slots__ = ("plans_compiled", "batch_rows")
 
     def __init__(self) -> None:
         self.plans_compiled = 0
         self.batch_rows = 0
-        self.fallback_tuples = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "codegen_plans_compiled": self.plans_compiled,
             "codegen_batch_rows": self.batch_rows,
-            "codegen_fallback_tuples": self.fallback_tuples,
         }
 
     def __repr__(self) -> str:
@@ -282,7 +267,7 @@ def generate_screen_source(
 
     The generated ``screen_kernel(cols, n, mask)`` marks relevant slots
     in ``mask`` and returns ``(ground_evals, bound_probes)`` so the
-    driver can charge the interpreter's per-tuple counters in bulk.
+    driver can charge the per-tuple screen's counters in bulk.
     Structure per slot, mirroring ``RelevanceFilter._decide`` exactly:
     one block per live (occurrence, disjunct) screen, variant-evaluable
     atoms as nested short-circuit tests, variant bounds as ``min``/
@@ -353,7 +338,7 @@ def generate_screen_source(
             return f"c{schema.index(_occ.inverse[qualified])}[i]"
 
         # Variant evaluable atoms: nested short-circuit so the per-atom
-        # ground-eval counter matches the interpreter's early exit.
+        # ground-eval counter matches the per-tuple screen's early exit.
         for atom in screen.variant_evaluable:
             expr = _substituted_ground_expr(atom, col_expr)
             out.emit("ge += 1")
@@ -480,7 +465,7 @@ def _fold(func: str, exprs: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Row + apply kernels (Section 5.3 over one truth-table shape)
+# Step functions + apply kernel (Section 5.3 over one truth-table shape)
 # ----------------------------------------------------------------------
 
 def codegen_rows(
@@ -490,8 +475,8 @@ def codegen_rows(
     yields, computed without charging ``truth_table_rows``.
 
     Kernel generation happens once per shape; the per-execution charge
-    is applied in bulk by the kernel driver so the counter stays
-    execution-proportional, exactly like the interpreter's.
+    is applied in bulk by the executor so the counter stays
+    execution-proportional.
     """
     changed = sorted(set(changed_positions))
     rows: list[Rows] = []
@@ -512,17 +497,22 @@ def generate_shape_source(
     rows: Sequence[Rows],
     counter_free: bool = False,
 ) -> str:
-    """Emit the row kernel + apply kernel for one truth-table shape.
+    """Emit the step functions + apply kernel for one truth-table shape.
 
-    The row kernel unrolls the planner's prefix-sharing trie: one named
-    list per distinct (row-prefix × choice) node when sharing is on,
-    one per (row, step) when the E13 ablation turns sharing off.  Hash
-    tables stay shared per (step, choice) either way — mirroring the
-    interpreter's ``hash_cache`` — and are built lazily behind a
-    ``None`` guard so an OLD operand answered by an index probe (or
-    never reached because its accumulator is empty) is never
-    materialized.  The apply kernel folds each completed row through
-    the final DNF re-check, the projection and the Section 5.2 counter
+    One function ``s{j}_{OLD|DELTA}`` per (step, choice) the rows use,
+    each holding that step's whole inlined body: the first step loads
+    its operand through the prefilter; a later step joins the
+    accumulator onto its operand — through the caller's index probe
+    (OLD operands with equality links, when one is bound) or through a
+    hash table built on first use and shared by every row for the rest
+    of the execution — with the prefilter, the paper's tag algebra
+    (``insert ⊗ delete`` pairs dropped in-loop) and the postfilter
+    inlined.  ``STEPS`` lists the functions per step, indexed by
+    choice, for :meth:`ShapeKernels.run`, the shared driver that walks
+    the rows and memoizes prefix results.  The source therefore grows
+    linearly with the number of occurrences, however many rows the
+    shape has.  The apply kernel folds each completed row through the
+    final DNF re-check, the projection and the Section 5.2 counter
     accumulators.
 
     With ``counter_free`` (sound only when a derived view key proves
@@ -555,80 +545,47 @@ def generate_shape_source(
 
     _emit_apply_kernel(out, planner, counter_free)
     out.emit()
-    out.emit("def row_kernel(operands, probe_for):")
-    out.indent += 1
-    out.emit("ins = {}")
-    out.emit("dele = {}")
     if planner.always_empty:
         out.emit("# a shared ground atom is false: no row can contribute")
-        out.emit("return ins, dele, 0, 0, 0, 0")
+        out.emit("STEPS = ()")
         return out.source()
-    out.emit("ts = 0")
-    out.emit("jp = 0")
-    out.emit("te = 0")
-    out.emit("ti = 0")
 
-    hash_nodes: set[tuple[int, DeltaRowChoice]] = set()
-    plans: list[list[tuple[str, str, int, DeltaRowChoice]]] = []
-    emitted: set[str] = set()
-    for row_index, row in enumerate(rows):
-        chain: list[tuple[str, str, int, DeltaRowChoice]] = []
-        sig = ""
-        parent = ""
-        for j, step in enumerate(steps):
-            choice = row[step.position]
-            sig += "D" if choice is DeltaRowChoice.DELTA else "O"
-            if planner.share:
-                node = f"n_{sig}"
-            else:
-                node = f"n_r{row_index}_{j}"
-            chain.append((node, parent, j, choice))
-            parent = node
-        plans.append(chain)
-        for node, _, j, choice in chain:
-            if node in emitted:
+    used = {
+        (j, row[step.position]) for row in rows for j, step in enumerate(steps)
+    }
+    table: list[str] = []
+    for j, step in enumerate(steps):
+        entry: list[str] = []
+        for choice in (DeltaRowChoice.OLD, DeltaRowChoice.DELTA):
+            if (j, choice) not in used:
+                entry.append("None")
                 continue
-            # The hash-table path may be taken by any node that is not
-            # guaranteed an index probe — i.e. every node.
-            hash_nodes.add((j, choice))
-            emitted.add(node)
-
-    for j, choice in sorted(
-        hash_nodes, key=lambda item: (item[0], item[1].value)
-    ):
-        out.emit(f"h_{j}_{choice.name} = None")
-
-    emitted.clear()
-    for row_index, chain in enumerate(plans):
-        out.emit(f"# row {row_index}: " + _render_sig(chain, steps, names))
-        for node, parent, j, choice in chain:
-            if node not in emitted:
-                if j == 0:
-                    _emit_first_operand(out, planner, node, choice)
-                else:
-                    _emit_join_node(out, planner, node, parent, j, choice)
-                emitted.add(node)
-        out.emit(f"apply_kernel({chain[-1][0]}, ins, dele)")
-    out.emit("return ins, dele, ts, jp, te, ti")
+            name = f"s{j}_{choice.name}"
+            out.emit(f"def {name}(acc, operands, probe_for, tables, tally):")
+            out.indent += 1
+            out.emit(
+                f"# {step.describe(names[step.position], j)} [{choice.name}]"
+            )
+            if j == 0:
+                _emit_first_step(out, step, choice)
+            else:
+                _emit_join_step(out, step, j, choice)
+            out.indent -= 1
+            out.emit()
+            entry.append(name)
+        table.append(f"({entry[0]}, {entry[1]})")
+    out.emit(f"STEPS = ({', '.join(table)}{',' if len(table) == 1 else ''})")
     return out.source()
-
-
-def _render_sig(chain, steps, names) -> str:
-    parts = []
-    for _, _, j, choice in chain:
-        name = names[steps[j].position]
-        parts.append(name if choice is DeltaRowChoice.OLD else f"i_{name}")
-    return " * ".join(parts)
 
 
 def _emit_apply_kernel(
     out: _Emitter, planner: "RowPlanner", counter_free: bool = False
 ) -> None:
     final_schema = planner.final_schema
-    positions = planner.projection_positions
-    key = "(" + ", ".join(f"v[{p}]" for p in positions) + ("," if len(positions) == 1 else "") + ")"
+    key = _key_tuple_expr(planner.projection_positions, "v")
     out.emit("def apply_kernel(rows, ins, dele):")
     out.indent += 1
+    out.emit("# OLD rows come only from full evaluation's all-OLD row")
     out.emit("for v, t, c in rows:")
     out.indent += 1
     if planner.needs_final_filter:
@@ -640,120 +597,77 @@ def _emit_apply_kernel(
         out.emit("continue")
         out.indent -= 1
     out.emit(f"k = {key}")
-    out.emit("if t is T_I:")
+    out.emit("if t is T_D:")
     out.indent += 1
-    if counter_free:
-        out.emit("ins[k] = 1")
-    else:
-        out.emit("ins[k] = ins.get(k, 0) + c")
+    out.emit("dele[k] = 1" if counter_free else "dele[k] = dele.get(k, 0) + c")
     out.indent -= 1
-    out.emit("elif t is T_D:")
+    out.emit("else:")
     out.indent += 1
-    if counter_free:
-        out.emit("dele[k] = 1")
-    else:
-        out.emit("dele[k] = dele.get(k, 0) + c")
-    out.indent -= 2
-    out.indent -= 1
+    out.emit("ins[k] = 1" if counter_free else "ins[k] = ins.get(k, 0) + c")
+    out.indent -= 3
 
 
-def _emit_first_operand(
-    out: _Emitter, planner: "RowPlanner", node: str, choice: DeltaRowChoice
-) -> None:
-    step = planner.steps[0]
-    out.emit(
-        f"src = operands[{step.position}][C_{choice.name}]._counts"
-    )
-    out.emit("ts += len(src)")
+def _emit_first_step(out: _Emitter, step, choice: DeltaRowChoice) -> None:
+    out.emit(f"src = operands[{step.position}][C_{choice.name}]._counts")
+    out.emit("tally[0] += len(src)")
     prefilter = _prefilter_expr(step, "bv")
-    if prefilter is None:
-        out.emit(f"{node} = [(bv, bt, bc) for (bv, bt), bc in src.items()]")
-        return
-    out.emit(f"{node} = []")
-    out.emit(f"{node}_append = {node}.append")
-    out.emit("for (bv, bt), bc in src.items():")
-    out.indent += 1
-    out.emit(f"if {prefilter}:")
-    out.indent += 1
-    out.emit(f"{node}_append((bv, bt, bc))")
-    out.indent -= 2
+    guard = f" if {prefilter}" if prefilter is not None else ""
+    out.emit(f"return [(bv, bt, bc) for (bv, bt), bc in src.items(){guard}]")
 
 
-def _emit_join_node(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    parent: str,
-    j: int,
-    choice: DeltaRowChoice,
+def _emit_join_step(
+    out: _Emitter, step, j: int, choice: DeltaRowChoice
 ) -> None:
-    step = planner.steps[j]
-    key_expr = _probe_key_expr(step)
-    out.emit(f"{node} = []")
-    out.emit(f"if {parent}:")
-    out.indent += 1
-    out.emit(f"{node}_append = {node}.append")
-    use_probe = choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
-    if use_probe:
+    delta = choice is DeltaRowChoice.DELTA
+    out.emit("out = []")
+    out.emit("out_append = out.append")
+    out.emit("jp = te = ti = 0" if delta else "jp = te = 0")
+    if not delta and step.link_attr_names:
         out.emit(f"p = probe_for({j})")
         out.emit("if p is not None:")
         out.indent += 1
-        _emit_probe_loop(out, planner, node, parent, j, key_expr)
+        _emit_probe_loop(out, step, delta)
         out.indent -= 1
         out.emit("else:")
         out.indent += 1
-        _emit_hash_join(out, planner, node, parent, j, choice, key_expr)
+        _emit_hash_join(out, step, j, choice)
         out.indent -= 1
     else:
-        _emit_hash_join(out, planner, node, parent, j, choice, key_expr)
-    out.indent -= 1
+        _emit_hash_join(out, step, j, choice)
+    out.emit("tally[1] += jp")
+    out.emit("tally[2] += te")
+    if delta:
+        out.emit("tally[3] += ti")
+    out.emit("return out")
 
 
-def _emit_probe_loop(
-    out: _Emitter, planner: "RowPlanner", node: str, parent: str, j: int,
-    key_expr: str,
-) -> None:
-    step = planner.steps[j]
+def _emit_probe_loop(out: _Emitter, step, delta: bool) -> None:
     prefilter = _prefilter_expr(step, "bv")
-    out.emit(f"for av, at, ac in {parent}:")
+    out.emit("for av, at, ac in acc:")
     out.indent += 1
     out.emit("jp += 1")
-    out.emit(f"k = {key_expr}")
-    out.emit("for bv, bt, bc in p(k):")
+    out.emit(f"for bv, bt, bc in p({_probe_key_expr(step)}):")
     out.indent += 1
     if prefilter is not None:
         out.emit(f"if not ({prefilter}):")
         out.indent += 1
         out.emit("continue")
         out.indent -= 1
-    _emit_combine_emit(out, planner, node, j)
+    _emit_combine_emit(out, step, delta)
     out.indent -= 2
 
 
 def _emit_hash_join(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    parent: str,
-    j: int,
-    choice: DeltaRowChoice,
-    key_expr: str,
+    out: _Emitter, step, j: int, choice: DeltaRowChoice
 ) -> None:
-    step = planner.steps[j]
-    table = f"h_{j}_{choice.name}"
+    slot = 2 * j + choice.value
     prefilter = _prefilter_expr(step, "bv")
-    key_positions = step.operand_key_positions
-    build_key = (
-        "("
-        + ", ".join(f"bv[{p}]" for p in key_positions)
-        + ("," if len(key_positions) == 1 else "")
-        + ")"
-    )
-    out.emit(f"if {table} is None:")
+    out.emit(f"h = tables[{slot}]")
+    out.emit("if h is None:")
     out.indent += 1
-    out.emit(f"{table} = {{}}")
+    out.emit(f"h = tables[{slot}] = {{}}")
     out.emit(f"src = operands[{step.position}][C_{choice.name}]._counts")
-    out.emit("ts += len(src)")
+    out.emit("tally[0] += len(src)")
     out.emit("for (bv, bt), bc in src.items():")
     out.indent += 1
     if prefilter is not None:
@@ -761,52 +675,42 @@ def _emit_hash_join(
         out.indent += 1
         out.emit("continue")
         out.indent -= 1
-    out.emit(f"bk = {build_key}")
-    out.emit(f"bucket = {table}.get(bk)")
+    out.emit(f"bk = {_key_tuple_expr(step.operand_key_positions, 'bv')}")
+    out.emit("bucket = h.get(bk)")
     out.emit("if bucket is None:")
     out.indent += 1
-    out.emit(f"{table}[bk] = [(bv, bt, bc)]")
+    out.emit("h[bk] = [(bv, bt, bc)]")
     out.indent -= 1
     out.emit("else:")
     out.indent += 1
     out.emit("bucket.append((bv, bt, bc))")
-    out.indent -= 2
-    out.indent -= 1
-    out.emit(f"for av, at, ac in {parent}:")
+    out.indent -= 3
+    out.emit("for av, at, ac in acc:")
     out.indent += 1
     out.emit("jp += 1")
-    out.emit(f"k = {key_expr}")
-    out.emit(f"bucket = {table}.get(k)")
+    out.emit(f"bucket = h.get({_probe_key_expr(step)})")
     out.emit("if bucket is not None:")
     out.indent += 1
     out.emit("for bv, bt, bc in bucket:")
     out.indent += 1
-    _emit_combine_emit(out, planner, node, j)
+    _emit_combine_emit(out, step, choice is DeltaRowChoice.DELTA)
     out.indent -= 3
 
 
-def _emit_combine_emit(
-    out: _Emitter, planner: "RowPlanner", node: str, j: int
-) -> None:
-    """Tag algebra + postfilter + emit, shared by both join paths."""
-    step = planner.steps[j]
-    out.emit("if at is T_O:")
-    out.indent += 1
-    out.emit("t = bt")
-    out.indent -= 1
-    out.emit("elif bt is T_O:")
-    out.indent += 1
-    out.emit("t = at")
-    out.indent -= 1
-    out.emit("elif at is bt:")
-    out.indent += 1
-    out.emit("t = at")
-    out.indent -= 1
-    out.emit("else:")
-    out.indent += 1
-    out.emit("ti += 1")
-    out.emit("continue")
-    out.indent -= 1
+def _emit_combine_emit(out: _Emitter, step, delta: bool) -> None:
+    """Tag algebra + postfilter + emit, shared by both join paths.
+
+    An OLD operand carries only ``old`` tags, so joining one keeps the
+    accumulator's tag.  A DELTA operand's tag wins over an ``old``
+    accumulator, matches an equal one, and is ignored against the
+    opposite one (the paper's ``insert ⊗ delete``).
+    """
+    if delta:
+        out.emit("if at is not T_O and at is not bt:")
+        out.indent += 1
+        out.emit("ti += 1")
+        out.emit("continue")
+        out.indent -= 1
     out.emit("rv = av + bv")
     postfilter = _postfilter_expr(step, "rv")
     if postfilter is not None:
@@ -815,13 +719,11 @@ def _emit_combine_emit(
         out.emit("continue")
         out.indent -= 1
     out.emit("te += 1")
-    out.emit(f"{node}_append((rv, t, ac * bc))")
+    out.emit(f"out_append((rv, {'bt' if delta else 'at'}, ac * bc))")
 
 
 def _probe_key_expr(step) -> str:
-    parts = []
-    for pos, _, shift in step.eq_links:
-        parts.append(_shifted(f"av[{pos}]", shift))
+    parts = [_shifted(f"av[{pos}]", shift) for pos, _, shift in step.eq_links]
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
@@ -866,9 +768,7 @@ def generate_aggregate_source(
     offending core row when a delete underflows its group support
     (``None`` otherwise); the driver
     (:meth:`~repro.core.compiled.CompiledViewPlan.fold_aggregate`)
-    assembles the visible delta and charges the counters.  This is the
-    generated twin of :meth:`repro.core.aggregates.AggregateState.fold`
-    — both must agree cell for cell and in dict order.
+    assembles the visible delta and charges the counters.
     """
     positions = core_schema.positions(spec.keys)
     plans = [
@@ -1012,12 +912,16 @@ _KERNEL_GLOBALS = {
 }
 
 ScreenKernel = Callable[[list, int, bytearray], tuple[int, int]]
-RowKernel = Callable[..., tuple[dict, dict, int, int, int, int]]
 AggregateKernel = Callable[[dict, dict, dict], tuple[dict, dict, dict, object]]
+#: A probe function: join-key values -> matching (values, tag, count).
+ProbeFn = Callable[[ValueTuple], Iterable[tuple[ValueTuple, Tag, int]]]
+#: Caller-provided index hook:
+#: (position, link_attr_qualified_names) -> ProbeFn or None.
+IndexProbe = Callable[[int, tuple[str, ...]], Optional[ProbeFn]]
 
 
-def compile_kernel(source: str, name: str, filename: str) -> Callable:
-    """``compile()`` + ``exec`` one generated module; return ``name``.
+def _exec_module(source: str, filename: str) -> dict:
+    """``compile()`` + ``exec`` one generated module; its namespace.
 
     ``filename`` shows up in tracebacks (``<codegen:view:kind>``) so a
     bug in generated code is attributable to its generator.
@@ -1030,7 +934,12 @@ def compile_kernel(source: str, name: str, filename: str) -> Callable:
         raise MaintenanceError(
             f"generated kernel {filename} failed to compile: {exc}\n{source}"
         ) from exc
-    kernel = namespace.get(name)
+    return namespace
+
+
+def compile_kernel(source: str, name: str, filename: str) -> Callable:
+    """Compile one generated module and return its function ``name``."""
+    kernel = _exec_module(source, filename).get(name)
     if kernel is None:  # pragma: no cover - generator bug
         raise MaintenanceError(
             f"generated module {filename} defines no {name!r}"
@@ -1039,55 +948,181 @@ def compile_kernel(source: str, name: str, filename: str) -> Callable:
 
 
 class ShapeKernels:
-    """The compiled row + apply kernels for one truth-table shape."""
+    """One shape's row planner, its compiled step functions + apply
+    kernel, and the shared driver that runs them over the shape's
+    truth-table rows."""
 
-    __slots__ = ("source", "row_kernel", "rows_evaluated", "memo_hits")
+    __slots__ = ("source", "planner", "steps", "apply", "rows", "probe_keys")
 
     def __init__(
         self,
         source: str,
-        row_kernel: RowKernel,
-        rows_evaluated: int,
-        memo_hits: int,
+        planner: "RowPlanner",
+        steps: tuple,
+        apply: Callable[[list, dict, dict], None],
+        rows: tuple[tuple[int, ...], ...],
     ) -> None:
         self.source = source
-        self.row_kernel = row_kernel
-        #: Rows this shape charges per execution (0 when the planner is
-        #: statically empty, mirroring the interpreter's early return).
-        self.rows_evaluated = rows_evaluated
-        #: ``subexpression_memo_hits`` the interpreter would charge per
-        #: execution.  The memo holds every prefix of each evaluated
-        #: row, so a row scores exactly one hit iff its first-step
-        #: choice appeared in an earlier row — a compile-time constant
-        #: of the shape (0 with sharing off or a statically empty plan).
-        self.memo_hits = memo_hits
+        #: The plan the kernels were generated from (join order, links,
+        #: output schema).
+        self.planner = planner
+        #: ``steps[j][choice.value]``: the step function, or None for a
+        #: (step, choice) no row uses.
+        self.steps = steps
+        self.apply = apply
+        #: The rows to evaluate as per-step choice values in execution
+        #: order — empty when the planner is statically empty, so such a
+        #: shape charges nothing.
+        self.rows = rows
+        #: Per step: the (position, link attributes) an index hook binds.
+        self.probe_keys = tuple(
+            (step.position, step.link_attr_names) for step in planner.steps
+        )
+
+    @property
+    def row_count(self) -> int:
+        """Truth-table rows one execution evaluates."""
+        return len(self.rows)
+
+    def run(
+        self, operands: Sequence, index_probe: IndexProbe | None = None
+    ) -> tuple[dict[ValueTuple, int], dict[ValueTuple, int]]:
+        """Evaluate every row; return the projected insert/delete counts.
+
+        Rows are joined left-deep in the planner's delta-first order.
+        With sharing on, every prefix result is memoized on its choice
+        signature, so a row resumes from the longest prefix an earlier
+        row already joined (one ``subexpression_memo_hits`` per such
+        row) — with ``k`` changed operands the ``2^k − 1`` rows collapse
+        into a binary trie of partial joins.  Hash tables are shared
+        per (step, choice) either way, and a step whose accumulator is
+        empty is skipped without touching its operand.  ``index_probe``
+        answers OLD-operand probes for this execution; it is resolved
+        once per step, on the first probe.  The Section 5 abstract-work
+        counters are charged here in bulk from the step functions'
+        tallies.
+        """
+        ins: dict[ValueTuple, int] = {}
+        dele: dict[ValueTuple, int] = {}
+        rows = self.rows
+        if not rows:
+            return ins, dele
+        steps = self.steps
+        apply = self.apply
+        width = len(steps)
+        tables: list[dict | None] = [None] * (2 * width)
+        tally = [0, 0, 0, 0]
+        resolved: dict[int, ProbeFn | None] = {}
+        probe_keys = self.probe_keys
+
+        def probe_for(j: int) -> ProbeFn | None:
+            if j not in resolved:
+                resolved[j] = (
+                    None if index_probe is None else index_probe(*probe_keys[j])
+                )
+            return resolved[j]
+
+        memo: dict[tuple[int, ...], list] | None = (
+            {} if self.planner.share and len(rows) > 1 else None
+        )
+        hits = 0
+        for row in rows:
+            depth = 0
+            acc: list = []
+            if memo is not None:
+                for depth in range(width - 1, 0, -1):
+                    cached = memo.get(row[:depth])
+                    if cached is not None:
+                        acc = cached
+                        hits += 1
+                        break
+                else:
+                    depth = 0
+            for j in range(depth, width):
+                if j == 0 or acc:
+                    acc = steps[j][row[j]](
+                        acc, operands, probe_for, tables, tally
+                    )
+                if memo is not None:
+                    memo[row[: j + 1]] = acc
+            apply(acc, ins, dele)
+
+        charge("delta_rows_evaluated", len(rows))
+        if hits:
+            charge("subexpression_memo_hits", hits)
+        scanned, probes, emitted, ignored = tally
+        if scanned:
+            charge("tuples_scanned", scanned)
+        if probes:
+            charge("join_probes", probes)
+        if emitted:
+            charge("tuples_emitted", emitted)
+        if ignored:
+            charge("tuples_ignored", ignored)
+        return ins, dele
 
     def __repr__(self) -> str:
-        return f"<ShapeKernels {self.rows_evaluated} rows>"
+        return f"<ShapeKernels {len(self.rows)} rows>"
 
 
 def compile_shape_kernels(
-    planner: "RowPlanner", view_name: str, counter_free: bool = False
-) -> ShapeKernels | None:
-    """Generate + compile one shape's kernels; None triggers fallback."""
-    nf = planner.normal_form
-    if len(nf.occurrences) > MAX_CODEGEN_OPERANDS:
-        return None
-    rows = codegen_rows(len(nf.occurrences), planner.changed)
-    if len(rows) > MAX_CODEGEN_ROWS:
-        return None
+    planner: "RowPlanner",
+    view_name: str,
+    counter_free: bool = False,
+    rows: Sequence[Rows] | None = None,
+) -> ShapeKernels:
+    """Generate + compile one shape's kernels.
+
+    ``rows`` defaults to the shape's differential rows; full evaluation
+    passes the single all-OLD row instead.
+    """
+    if rows is None:
+        rows = codegen_rows(len(planner.normal_form.occurrences), planner.changed)
     source = generate_shape_source(planner, rows, counter_free)
     shape_tag = "".join(str(p) for p in planner.changed)
-    kernel = compile_kernel(
-        source, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
+    namespace = _exec_module(source, f"<codegen:{view_name}:shape{shape_tag}>")
+    steps = planner.steps
+    plan_rows = (
+        ()
+        if planner.always_empty
+        else tuple(tuple(row[s.position].value for s in steps) for row in rows)
     )
-    if planner.always_empty:
-        rows_evaluated = memo_hits = 0
-    else:
-        rows_evaluated = len(rows)
-        memo_hits = 0
-        if planner.share and rows:
-            first_position = planner.steps[0].position
-            distinct_first = len({row[first_position] for row in rows})
-            memo_hits = len(rows) - distinct_first
-    return ShapeKernels(source, kernel, rows_evaluated, memo_hits)
+    return ShapeKernels(
+        source, planner, namespace["STEPS"], namespace["apply_kernel"], plan_rows
+    )
+
+
+#: Bound on :func:`standalone_kernels`' cache of compiled shapes.
+STANDALONE_CACHE_SIZE = 128
+_standalone_cache: "OrderedDict[tuple, ShapeKernels]" = OrderedDict()
+
+
+def standalone_kernels(
+    planner: "RowPlanner", rows: Sequence[Rows] | None = None
+) -> ShapeKernels:
+    """Compiled kernels for a planner that no compiled plan owns.
+
+    Full evaluation (:func:`repro.core.planner.evaluate_normal_form`)
+    and the plan-less :func:`repro.core.differential.compute_view_delta`
+    run outside any :class:`~repro.core.compiled.CompiledViewPlan`, so
+    their kernels are kept here instead, keyed by the structure they
+    are a pure function of (domains included, since the cached planner
+    supplies the operand and output schemas), in a least-recently-used
+    cache of at most :data:`STANDALONE_CACHE_SIZE` shapes.
+    """
+    key = (
+        planner.normal_form.fingerprint(),
+        planner.normal_form.qualified_schema,
+        planner.changed,
+        planner.share,
+        None if rows is None else tuple(rows),
+    )
+    kernels = _standalone_cache.get(key)
+    if kernels is not None:
+        _standalone_cache.move_to_end(key)
+        return kernels
+    kernels = compile_shape_kernels(planner, "standalone", rows=rows)
+    _standalone_cache[key] = kernels
+    if len(_standalone_cache) > STANDALONE_CACHE_SIZE:
+        _standalone_cache.popitem(last=False)
+    return kernels

@@ -44,8 +44,8 @@ from repro.core.codegen import (
     CODEGEN_VERSION,
     CodegenStats,
     DeltaBatch,
-    MAX_CODEGEN_OPERANDS,
-    MAX_CODEGEN_ROWS,
+    IndexProbe,
+    ProbeFn,
     ScreenKernel,
     ShapeKernels,
     codegen_rows,
@@ -56,18 +56,13 @@ from repro.core.codegen import (
     generate_shape_source,
     plan_fingerprint,
 )
-from repro.core.counting import net_counts
-from repro.core.differential import (
-    build_operands,
-    changed_positions_for,
-    execute_planner,
-)
+from repro.core.differential import changed_positions_for, execute_kernels
 from repro.core.irrelevance import (
     FilterStats,
     RelevanceFilter,
     is_statically_irrelevant,
 )
-from repro.core.planner import IndexProbe, ProbeFn, RowPlanner
+from repro.core.planner import RowPlanner
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
@@ -97,12 +92,12 @@ class CompiledViewPlan:
         Names among the view's operands that are themselves registered
         views — they carry no persistent index, and their screens bind
         against view output schemas.
-    share_subexpressions, use_indexes, use_codegen:
+    share_subexpressions, use_indexes:
         The owning maintainer's evaluation switches, frozen into the
-        plan.  With ``use_codegen`` the plan emits batch kernels from
-        generated source (:mod:`repro.core.codegen`) at registration
-        time and executes those; without it, the per-tuple interpreter
-        runs — the ablation oracle the kernels are verified against.
+        plan.  The plan emits batch kernels from generated source
+        (:mod:`repro.core.codegen`) — screens and aggregate folds at
+        registration time, row kernels per truth-table shape on first
+        use — and executes those.
     use_counter_free:
         Allow the generated apply kernels to pin the Section 5.2
         multiplicity counters to one when the chase over declared keys
@@ -120,14 +115,12 @@ class CompiledViewPlan:
         "fingerprint",
         "share_subexpressions",
         "use_indexes",
-        "use_codegen",
         "use_counter_free",
         "_database",
         "_view_operands",
         "_schemas",
         "_screens",
         "_static_irrelevant",
-        "_planners",
         "_index_bindings",
         "_codegen_stats",
         "_screen_kernels",
@@ -147,7 +140,6 @@ class CompiledViewPlan:
         view_operands: Iterable[str] = (),
         share_subexpressions: bool = True,
         use_indexes: bool = True,
-        use_codegen: bool = True,
         use_counter_free: bool = True,
         codegen_stats: CodegenStats | None = None,
     ) -> None:
@@ -155,15 +147,13 @@ class CompiledViewPlan:
         self.normal_form: NormalForm = definition.normal_form
         #: Identity of the executable this plan is: the definition's
         #: structural fingerprint extended with the generated-source
-        #: version (or an interpreter marker).  The cache refuses to
-        #: serve a plan whose fingerprint no longer matches the
-        #: registered view *and current execution mode*.
+        #: version.  The cache refuses to serve a plan whose fingerprint
+        #: no longer matches the registered view and generator.
         self.fingerprint: tuple = plan_fingerprint(
-            self.normal_form, use_codegen, definition.aggregate
+            self.normal_form, definition.aggregate
         )
         self.share_subexpressions = share_subexpressions
         self.use_indexes = use_indexes
-        self.use_codegen = use_codegen
         self.use_counter_free = use_counter_free
         self._codegen_stats = codegen_stats
         self._database = database
@@ -216,11 +206,6 @@ class CompiledViewPlan:
             and (constraint := constraints.get(name)) is not None
             and is_statically_irrelevant(self.normal_form, name, constraint)
         )
-        # Row planners are keyed by the changed-position tuple (the
-        # truth-table shape) and built on first use: a view over p
-        # relations has 2^p − 1 possible shapes but a workload usually
-        # exercises a handful.
-        self._planners: dict[tuple[int, ...], RowPlanner] = {}
         #: (position, link_attrs) → bound HashIndex, or None for
         #: view-typed operands (no persistent index exists).
         self._index_bindings: dict[
@@ -230,42 +215,43 @@ class CompiledViewPlan:
         # — they bake the APSP distances and any static-irrelevance
         # proof into source, so they must be rebuilt whenever the plan
         # is (constraint DDL invalidates the plan, not just a flag).
-        # Shape kernels compile on first use of each truth-table shape,
-        # like the planners they mirror.
+        # Shape kernels, each holding its row planner, are keyed by the
+        # changed-position tuple (the truth-table shape) and compiled on
+        # first use: a view over p relations has 2^p − 1 possible shapes
+        # but a workload usually exercises a handful.
         self._screen_kernels: dict[str, tuple[str, ScreenKernel]] = {}
-        self._shape_kernels: dict[tuple[int, ...], ShapeKernels | None] = {}
+        self._shape_kernels: dict[tuple[int, ...], ShapeKernels] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
         # and core schema, never on the incoming delta.
         self._aggregate_source: str | None = None
         self._aggregate_kernel: AggregateKernel | None = None
-        if use_codegen:
-            for name in sorted(self._screens):
-                source = generate_screen_source(
-                    name,
-                    self._screens[name],
-                    self._schemas[name],
-                    statically_irrelevant=name in self._static_irrelevant,
-                )
-                kernel = compile_kernel(
-                    source,
-                    "screen_kernel",
-                    f"<codegen:{definition.name}:screen:{name}>",
-                )
-                self._screen_kernels[name] = (source, kernel)
-            if definition.aggregate is not None:
-                source = generate_aggregate_source(
-                    definition.aggregate, self.normal_form.output_schema()
-                )
-                self._aggregate_source = source
-                self._aggregate_kernel = compile_kernel(
-                    source,
-                    "fold_kernel",
-                    f"<codegen:{definition.name}:aggregate>",
-                )
-            charge("codegen_plans_compiled")
-            if codegen_stats is not None:
-                codegen_stats.plans_compiled += 1
+        for name in sorted(self._screens):
+            source = generate_screen_source(
+                name,
+                self._screens[name],
+                self._schemas[name],
+                statically_irrelevant=name in self._static_irrelevant,
+            )
+            kernel = compile_kernel(
+                source,
+                "screen_kernel",
+                f"<codegen:{definition.name}:screen:{name}>",
+            )
+            self._screen_kernels[name] = (source, kernel)
+        if definition.aggregate is not None:
+            source = generate_aggregate_source(
+                definition.aggregate, self.normal_form.output_schema()
+            )
+            self._aggregate_source = source
+            self._aggregate_kernel = compile_kernel(
+                source,
+                "fold_kernel",
+                f"<codegen:{definition.name}:aggregate>",
+            )
+        charge("codegen_plans_compiled")
+        if codegen_stats is not None:
+            codegen_stats.plans_compiled += 1
 
     # ------------------------------------------------------------------
     # Section 4: screening
@@ -305,16 +291,14 @@ class CompiledViewPlan:
             stats.static_dropped = stats.checked
             charge("fk_probe_tuples_dropped", stats.checked)
             return Delta(delta.schema), stats
-        if self.use_codegen:
-            return self._screen_batch(relation_name, screen, delta)
-        return screen.screen_delta(delta)
+        return self._screen_batch(relation_name, screen, delta)
 
     def _screen_batch(
         self, relation_name: str, screen: RelevanceFilter, delta: Delta
     ) -> tuple[Delta, FilterStats]:
         """Run the generated screen kernel over one columnar batch.
 
-        Functionally identical to
+        Functionally identical to the per-tuple Algorithm 4.1 reference
         :meth:`~repro.core.irrelevance.RelevanceFilter.screen_delta`,
         including every instrumentation counter — the kernel returns
         its per-tuple ground-eval and bound-probe tallies so they can
@@ -379,8 +363,7 @@ class CompiledViewPlan:
         """Whether apply kernels pin the Section 5.2 counters to one.
 
         True only when the switch is on *and* the chase proved a view
-        key (so every view row has multiplicity ≤ 1).  The interpreter
-        path always keeps full counters — it is the parity oracle.
+        key (so every view row has multiplicity ≤ 1).
         """
         return self.use_counter_free and self._view_key is not None
 
@@ -392,50 +375,47 @@ class CompiledViewPlan:
     # Section 5: planners and execution
     # ------------------------------------------------------------------
     def planner_for(self, changed_positions: Iterable[int]) -> RowPlanner:
-        """The cached row planner for one truth-table shape."""
+        """The row planner for one truth-table shape: the compiled
+        shape's own once its kernels exist, else a fresh one."""
         key = tuple(sorted(set(changed_positions)))
-        planner = self._planners.get(key)
-        if planner is None:
-            planner = RowPlanner(
-                self._exec_normal_form,
-                key,
-                share_subexpressions=self.share_subexpressions,
-            )
-            self._planners[key] = planner
-        return planner
+        kernels = self._shape_kernels.get(key)
+        if kernels is not None:
+            return kernels.planner
+        return RowPlanner(
+            self._exec_normal_form,
+            key,
+            share_subexpressions=self.share_subexpressions,
+        )
 
     def compute_delta(
         self,
         post_instances: Mapping[str, Relation],
         deltas: Mapping[str, Delta],
     ) -> Delta:
-        """The net view change for one transaction, via cached planners."""
+        """The net view change for one transaction, via cached kernels."""
         changed = changed_positions_for(self._exec_normal_form, deltas)
         if not changed:
             return Delta(self._exec_normal_form.output_schema())
-        planner = self.planner_for(changed)
-        if self.use_codegen:
-            kernels = self._shape_kernels_for(changed, planner)
-            if kernels is not None:
-                return self._execute_kernels(
-                    planner, kernels, post_instances, deltas, changed
-                )
-            # The shape exceeds the codegen limits: the interpreter
-            # executes it instead, tuple by tuple.
-            fallback = sum(
-                len(d.inserted) + len(d.deleted) for d in deltas.values()
+        kernels = self._shape_kernels.get(changed)
+        if kernels is None:
+            kernels = compile_shape_kernels(
+                self.planner_for(changed),
+                self.definition.name,
+                counter_free=self.counter_free,
             )
-            if fallback:
-                charge("codegen_fallback_tuples", fallback)
-                if self._codegen_stats is not None:
-                    self._codegen_stats.fallback_tuples += fallback
-        return execute_planner(
-            planner,
-            post_instances,
-            deltas,
-            changed,
-            index_probe=self.index_probe_for(deltas),
+            self._shape_kernels[changed] = kernels
+            charge("codegen_plans_compiled")
+            if self._codegen_stats is not None:
+                self._codegen_stats.plans_compiled += 1
+        delta = execute_kernels(
+            kernels, post_instances, deltas, self.index_probe_for(deltas)
         )
+        rows = kernels.row_count
+        if rows:
+            charge("codegen_batch_rows", rows)
+            if self._codegen_stats is not None:
+                self._codegen_stats.batch_rows += rows
+        return delta
 
     def fold_aggregate(
         self, state: "AggregateState", core_delta: Delta
@@ -443,34 +423,27 @@ class CompiledViewPlan:
         """Fold one core delta into the support state; visible delta out.
 
         The final stage of aggregate maintenance: the Section 5 pipeline
-        produced ``core_delta`` over the view's SPJ core, and this fold
-        applies it to the per-group support bags, re-rendering every
-        touched group.  A group whose visible row changes contributes a
-        delete of the old row and an insert of the new one (a keyed
-        upsert, from the changefeed's point of view); a group that
-        appears or disappears contributes just the insert or delete.
-
-        Runs the generated fold kernel under ``use_codegen`` and the
-        interpreter fold otherwise; the two mirror each other exactly,
-        and both counters — ``aggregate_rows_folded`` and
-        ``aggregate_groups_touched`` — are charged here in the shared
-        driver, so the ablation stays counter-for-counter comparable.
+        produced ``core_delta`` over the view's SPJ core, and the
+        generated fold kernel applies it to the per-group support bags,
+        re-rendering every touched group.  A group whose visible row
+        changes contributes a delete of the old row and an insert of the
+        new one (a keyed upsert, from the changefeed's point of view); a
+        group that appears or disappears contributes just the insert or
+        delete.  Charges ``aggregate_rows_folded`` and
+        ``aggregate_groups_touched``.
         """
+        kernel = self._aggregate_kernel
+        assert kernel is not None, "only aggregate views fold"
         ins = core_delta.inserted
         dele = core_delta.deleted
         rows = len(ins) + len(dele)
         if rows:
             charge("aggregate_rows_folded", rows)
-        if self.use_codegen and self._aggregate_kernel is not None:
-            touched, before, after, bad = self._aggregate_kernel(
-                state.groups, ins, dele
-            )
-            if rows:
-                charge("codegen_batch_rows", rows)
-                if self._codegen_stats is not None:
-                    self._codegen_stats.batch_rows += rows
-        else:
-            touched, before, after, bad = state.fold(ins, dele)
+        touched, before, after, bad = kernel(state.groups, ins, dele)
+        if rows:
+            charge("codegen_batch_rows", rows)
+            if self._codegen_stats is not None:
+                self._codegen_stats.batch_rows += rows
         if bad is not None:
             raise MaintenanceError(
                 f"aggregate maintenance for view {self.definition.name!r} "
@@ -491,78 +464,6 @@ class CompiledViewPlan:
             if a is not None:
                 inserted[a] = 1
         return Delta.from_counts(state.visible_schema, inserted, deleted)
-
-    def _shape_kernels_for(
-        self, changed: tuple[int, ...], planner: RowPlanner
-    ) -> ShapeKernels | None:
-        """The cached (or newly compiled) kernels for one shape."""
-        key = tuple(sorted(set(changed)))
-        if key in self._shape_kernels:
-            return self._shape_kernels[key]
-        kernels = compile_shape_kernels(
-            planner, self.definition.name, counter_free=self.counter_free
-        )
-        if kernels is not None:
-            charge("codegen_plans_compiled")
-            if self._codegen_stats is not None:
-                self._codegen_stats.plans_compiled += 1
-        self._shape_kernels[key] = kernels
-        return kernels
-
-    def _execute_kernels(
-        self,
-        planner: RowPlanner,
-        kernels: ShapeKernels,
-        post_instances: Mapping[str, Relation],
-        deltas: Mapping[str, Delta],
-        changed: tuple[int, ...],
-    ) -> Delta:
-        """Run one shape's generated row kernel over one transaction.
-
-        The columnar/batch counterpart of
-        :func:`repro.core.differential.execute_planner`, charging the
-        same counters in bulk from the kernel's tallies.
-        """
-        charge("differential_updates")
-        operands = build_operands(
-            self._exec_normal_form, post_instances, deltas, changed
-        )
-        hook = self.index_probe_for(deltas)
-        steps = planner.steps
-        resolved: dict[int, ProbeFn | None] = {}
-
-        def probe_for(step_index: int) -> ProbeFn | None:
-            probe = resolved.get(step_index)
-            if step_index in resolved:
-                return probe
-            if hook is not None:
-                step = steps[step_index]
-                probe = hook(step.position, step.link_attr_names)
-            resolved[step_index] = probe
-            return probe
-
-        ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
-            operands, probe_for
-        )
-        rows = kernels.rows_evaluated
-        if rows:
-            charge("truth_table_rows", rows)
-            charge("delta_rows_evaluated", rows)
-            charge("codegen_batch_rows", rows)
-            if self._codegen_stats is not None:
-                self._codegen_stats.batch_rows += rows
-        if kernels.memo_hits:
-            charge("subexpression_memo_hits", kernels.memo_hits)
-        if scanned:
-            charge("tuples_scanned", scanned)
-        if probes:
-            charge("join_probes", probes)
-        if emitted:
-            charge("tuples_emitted", emitted)
-        if ignored:
-            charge("tuples_ignored", ignored)
-        net_counts(ins, dele)
-        return Delta.from_counts(planner.output_schema, ins, dele)
 
     # ------------------------------------------------------------------
     # Index bindings
@@ -641,14 +542,13 @@ class CompiledViewPlan:
         """The complete generated source for this plan, deterministic.
 
         One listing: a version header, the screen kernel per
-        participating relation (sorted by name), then the row/apply
-        kernels for every single-relation truth-table shape plus the
-        all-relations shape.  Generation is a pure function of the plan
+        participating relation (sorted by name), then the step functions
+        and apply kernel for every single-relation truth-table shape plus
+        the all-relations shape, then the aggregate fold kernel when the
+        view aggregates.  Generation is a pure function of the plan
         structure, so two compiles of the same definition against the
         same catalog and constraints emit byte-identical text — the
         property the CLI's ``--source`` determinism check asserts.
-        Shapes beyond the codegen limits are listed as interpreter
-        fallbacks.
         """
         name = self.definition.name
         parts = [
@@ -662,62 +562,23 @@ class CompiledViewPlan:
                 f"{', '.join(self._reduction.probe_relations)} are screened "
                 "out wholesale\n"
             )
-        for relation_name in sorted(self._screens):
-            cached = self._screen_kernels.get(relation_name)
-            if cached is not None:
-                parts.append(cached[0])
-                continue
-            parts.append(
-                generate_screen_source(
-                    relation_name,
-                    self._screens[relation_name],
-                    self._schemas[relation_name],
-                    statically_irrelevant=(
-                        relation_name in self._static_irrelevant
-                    ),
-                )
-            )
+        for relation_name in sorted(self._screen_kernels):
+            parts.append(self._screen_kernels[relation_name][0])
         width = len(self._exec_normal_form.occurrences)
-        if width > MAX_CODEGEN_OPERANDS:
-            parts.append(
-                f"# {width} operands exceed the codegen limit "
-                f"({MAX_CODEGEN_OPERANDS}); every shape runs on the "
-                "interpreter\n"
-            )
-            parts.extend(self._aggregate_source_parts())
-            return "\n".join(parts)
         shapes = [(i,) for i in range(width)]
         if width > 1:
             shapes.append(tuple(range(width)))
         for shape in shapes:
-            rows = codegen_rows(width, shape)
-            if len(rows) > MAX_CODEGEN_ROWS:
-                parts.append(
-                    f"# shape {shape!r}: {len(rows)} truth-table rows "
-                    "exceed the codegen limit; interpreter fallback\n"
-                )
-                continue
             parts.append(
                 generate_shape_source(
                     self.planner_for(shape),
-                    rows,
+                    codegen_rows(width, shape),
                     counter_free=self.counter_free,
                 )
             )
-        parts.extend(self._aggregate_source_parts())
-        return "\n".join(parts)
-
-    def _aggregate_source_parts(self) -> list[str]:
-        """The aggregate fold kernel listing (empty for plain views)."""
-        if self.definition.aggregate is None:
-            return []
         if self._aggregate_source is not None:
-            return [self._aggregate_source]
-        return [
-            generate_aggregate_source(
-                self.definition.aggregate, self.normal_form.output_schema()
-            )
-        ]
+            parts.append(self._aggregate_source)
+        return "\n".join(parts)
 
     def describe(self, changed_relations: Iterable[str]) -> str:
         """The compiled plan, as text, for a hypothetical update.
@@ -819,19 +680,17 @@ class CompiledViewPlan:
         if not bound_any:
             lines.append("  (none: no OLD operand is joined by equality links)")
         if self.definition.aggregate is not None:
-            mode = (
-                "generated fold kernel" if self.use_codegen else "interpreter fold"
-            )
             lines.append(
-                f"aggregate stage ({mode}): {self.definition.aggregate}"
+                f"aggregate stage (generated fold kernel): "
+                f"{self.definition.aggregate}"
             )
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        shapes = len(self._planners)
+        shapes = len(self._shape_kernels)
         possible = count_delta_rows(len(self._exec_normal_form.occurrences)) + 1
         return (
             f"<CompiledViewPlan {self.definition.name!r} "
-            f"{len(self._screens)} screens, {shapes}/{possible} planner shapes, "
+            f"{len(self._screens)} screens, {shapes}/{possible} compiled shapes, "
             f"{len(self._index_bindings)} index bindings>"
         )

@@ -6,8 +6,9 @@ to apply to the materialized view:
 
 1. Build the truth-table rows for the changed operands
    (:mod:`repro.core.truthtable`) — 2^k − 1 rows, all-old excluded.
-2. Evaluate each row's SPJ expression over tagged operands
-   (:mod:`repro.core.planner`), where a DELTA operand carries the
+2. Evaluate each row's SPJ expression over tagged operands — planned
+   by :mod:`repro.core.planner`, executed by the generated kernels of
+   :mod:`repro.core.codegen` — where a DELTA operand carries the
    transaction's inserts/deletes tagged ``insert``/``delete`` and an
    OLD operand carries the tuples present **both before and after**
    the transaction tagged ``old`` (``r − d_r``, equivalently the
@@ -33,8 +34,10 @@ from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
-from repro.core.planner import IndexProbe, RowPlanner
-from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows
+from repro.core.codegen import IndexProbe, ShapeKernels, standalone_kernels
+from repro.core.counting import net_counts
+from repro.core.planner import RowPlanner
+from repro.core.truthtable import DeltaRowChoice
 from repro.errors import MaintenanceError
 from repro.instrumentation import charge
 
@@ -160,28 +163,29 @@ def build_operands(
     return operands
 
 
-def execute_planner(
-    planner: RowPlanner,
+def execute_kernels(
+    kernels: ShapeKernels,
     post_instances: Mapping[str, Relation],
     deltas: Mapping[str, Delta],
-    changed_positions: Sequence[int],
     index_probe: IndexProbe | None = None,
 ) -> Delta:
-    """Run one (possibly cached) planner over one transaction's deltas.
+    """Run one shape's compiled kernels over one transaction's deltas.
 
-    The plan-execution half of :func:`compute_view_delta`:
-    ``planner`` supplies the join order, step plans and filters (plan
-    construction), while the operands, truth-table rows and index-probe
-    closure are built fresh from this transaction's state.
+    The plan-execution half of :func:`compute_view_delta`: ``kernels``
+    (with the planner they were generated from) is a per-shape artifact
+    reusable across transactions, while the operands and the
+    index-probe hook are built fresh from this transaction's state.
     """
-    normal_form = planner.normal_form
     charge("differential_updates")
+    if kernels.row_count:
+        charge("truth_table_rows", kernels.row_count)
+    planner = kernels.planner
     operands = build_operands(
-        normal_form, post_instances, deltas, changed_positions
+        planner.normal_form, post_instances, deltas, planner.changed
     )
-    rows = enumerate_delta_rows(len(normal_form.occurrences), changed_positions)
-    merged = planner.evaluate_rows(rows, operands, index_probe=index_probe)
-    return merged.to_delta()
+    ins, dele = kernels.run(operands, index_probe)
+    net_counts(ins, dele)
+    return Delta.from_counts(planner.output_schema, ins, dele)
 
 
 def compute_view_delta(
@@ -224,8 +228,8 @@ def compute_view_delta(
         changed_positions,
         share_subexpressions=share_subexpressions,
     )
-    return execute_planner(
-        planner, post_instances, deltas, changed_positions, index_probe=index_probe
+    return execute_kernels(
+        standalone_kernels(planner), post_instances, deltas, index_probe
     )
 
 
@@ -264,8 +268,6 @@ def project_view_delta(attributes: Sequence[str], delta: Delta) -> Delta:
     effect happens before returning — the caller applies count
     arithmetic, matching Algorithm 5.1's final step.
     """
-    from repro.core.counting import net_counts
-
     insert_counts: dict[ValueTuple, int] = {}
     delete_counts: dict[ValueTuple, int] = {}
     positions = delta.schema.positions(attributes)

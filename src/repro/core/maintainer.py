@@ -116,13 +116,6 @@ class ViewMaintainer:
         Reuse compiled maintenance plans across transactions (default
         on; E21's ablation switch — off compiles a fresh plan per
         maintenance call, restoring the pre-cache behavior).
-    use_codegen:
-        Execute generated batch kernels (:mod:`repro.core.codegen`)
-        instead of the per-tuple interpreter (default on; E24's
-        ablation switch — off keeps the interpreter as the oracle the
-        kernels are verified against).  Flipping the switch changes the
-        expected plan fingerprint, so cached plans compiled under the
-        other mode are evicted, never executed.
     use_counter_free:
         Let compiled plans pin the Section 5.2 multiplicity counters to
         one when the chase over declared keys proves every view row has
@@ -148,7 +141,6 @@ class ViewMaintainer:
         share_subexpressions: bool = True,
         use_indexes: bool = True,
         use_plan_cache: bool = True,
-        use_codegen: bool = True,
         use_counter_free: bool = True,
         strict: bool = False,
         auto_verify: bool = False,
@@ -158,7 +150,6 @@ class ViewMaintainer:
         self.share_subexpressions = share_subexpressions
         self.use_indexes = use_indexes
         self.use_plan_cache = use_plan_cache
-        self.use_codegen = use_codegen
         self.use_counter_free = use_counter_free
         self.strict = strict
         self.auto_verify = auto_verify
@@ -381,7 +372,6 @@ class ViewMaintainer:
             view_operands=referenced & self._views.keys(),
             share_subexpressions=self.share_subexpressions,
             use_indexes=self.use_indexes,
-            use_codegen=self.use_codegen,
             use_counter_free=self.use_counter_free,
             codegen_stats=self._codegen_stats,
         )
@@ -390,15 +380,12 @@ class ViewMaintainer:
         """The fingerprint a served plan for ``name`` must carry *now*.
 
         Combines the registered definition's structural fingerprint
-        with the current execution mode (codegen version vs
-        interpreter) — the value the cache audit in the simulation
-        oracle compares cached plans against.
+        with the generator version — the value the cache audit in the
+        simulation oracle compares cached plans against.
         """
         self._require_view(name)
         definition = self._views[name].definition
-        return plan_fingerprint(
-            definition.normal_form, self.use_codegen, definition.aggregate
-        )
+        return plan_fingerprint(definition.normal_form, definition.aggregate)
 
     def codegen_stats(self) -> CodegenStats:
         """Cumulative codegen counters across all plans and recompiles."""
@@ -420,7 +407,7 @@ class ViewMaintainer:
         view = self._views[name]
         stats = self._stats[name]
         fingerprint = plan_fingerprint(
-            view.definition.normal_form, self.use_codegen, view.definition.aggregate
+            view.definition.normal_form, view.definition.aggregate
         )
         plan = self._plan_cache.get(name, fingerprint)
         if plan is not None:

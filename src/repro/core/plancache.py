@@ -18,13 +18,11 @@ amortization claim ("plans are built once per view, not once per
 transaction") is observable end to end.
 
 Plan fingerprints (see :func:`repro.core.codegen.plan_fingerprint`)
-cover the execution mode and generated-source version, not just the
-normal form: a plan compiled with the generated batch kernels carries
-``("codegen", CODEGEN_VERSION)`` while an interpreter plan carries
-``("interpreter",)``.  Toggling ``use_codegen`` — or bumping
-``CODEGEN_VERSION`` when kernel emission changes — therefore misses on
-:meth:`PlanCache.get` and recompiles, so stale generated source can
-never be executed against a maintainer configured differently.
+cover the generated-source version, not just the normal form: every
+plan carries ``("codegen", CODEGEN_VERSION)``, so bumping
+``CODEGEN_VERSION`` when kernel emission changes misses on
+:meth:`PlanCache.get` and recompiles — stale generated source is never
+executed by a newer generator's runtime.
 Invalidation also drops the compiled kernel artifacts along with the
 plan: a static-irrelevance proof baked into generated screen source is
 discarded the moment ``declare_constraint`` / ``drop_constraint``

@@ -1,4 +1,4 @@
-"""Evaluation of truth-table rows, with shared subexpressions.
+"""Planning the evaluation of truth-table rows, with shared subexpressions.
 
 Section 5.3 observes that once the truth-table rows to evaluate are
 known, "we can further reduce the cost of materializing the view by
@@ -7,10 +7,10 @@ joins.  Notice that a new feature of our problem is the possibility of
 saving computation by re-using partial subexpressions appearing in
 multiple rows within the table."  Section 5.4 adds that each row's SPJ
 expression can be evaluated by "some known algorithm" — the paper cites
-QUEL decomposition; we substitute a direct pipelined hash-join
-evaluator (see DESIGN.md).
+QUEL decomposition; we substitute pipelined hash joins (see DESIGN.md).
 
-This planner implements those ideas concretely:
+:class:`RowPlanner` makes those decisions once per truth-table shape;
+the generated kernels of :mod:`repro.core.codegen` execute them:
 
 * **Order** — operands are evaluated delta-first (changed positions,
   then unchanged ones).  Deltas are typically tiny, so intermediate
@@ -32,44 +32,35 @@ This planner implements those ideas concretely:
   purely conjunctive condition nothing is left for a final pass; a
   multi-disjunct condition is re-checked once at the end.
 
-* **Index probes** — an optional ``index_probe`` callback lets the
-  caller (the view maintainer) answer OLD-operand probes from a
-  persistent hash index instead of materializing and hashing the whole
-  base relation per evaluation.
+* **Index probes** — OLD-operand joins with equality links may be
+  answered by a caller's persistent hash index instead of hashing the
+  whole base relation per evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.algebra.conditions import Atom, Condition, Var
-from repro.algebra.evaluate import compile_condition
+from repro.algebra.conditions import Atom, Var
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import TaggedRelation
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import Tag, combine_join_tags
-from repro.core.truthtable import DeltaRowChoice, Rows
-from repro.instrumentation import charge
+from repro.algebra.tags import Tag
+from repro.core.truthtable import DeltaRowChoice
 
-ValueTuple = tuple[int, ...]
-
-#: Rows returned by a probe: (encoded values, tag, count).
-ProbeRow = tuple[ValueTuple, Tag, int]
-#: A probe function: join-key values -> matching operand rows.
-ProbeFn = Callable[[ValueTuple], Iterable[ProbeRow]]
-#: Caller-provided index hook:
-#: (position, link_attr_qualified_names) -> ProbeFn or None.
-IndexProbe = Callable[[int, tuple[str, ...]], Optional[ProbeFn]]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.algebra.relation import Relation
 
 
 class StepPlan:
     """Static plan for joining one operand onto the accumulator.
 
     Step plans are pure *plan-construction* artifacts: they hold the
-    resolved hash-join links, prefilter/postfilter predicates and key
-    positions, and are reused verbatim across every execution of the
-    owning :class:`RowPlanner` (and, through
-    :class:`repro.core.compiled.CompiledViewPlan`, across transactions).
+    resolved hash-join links, prefilter/postfilter atoms and key
+    positions, from which :mod:`repro.core.codegen` emits the step's
+    functions once per shape (and, through
+    :class:`repro.core.compiled.CompiledViewPlan`, reused across
+    transactions).
     """
 
     __slots__ = (
@@ -78,8 +69,6 @@ class StepPlan:
         "acc_schema",
         "eq_links",
         "link_attr_names",
-        "prefilter",
-        "postfilter",
         "prefilter_atoms",
         "postfilter_atoms",
         "operand_key_positions",
@@ -104,20 +93,8 @@ class StepPlan:
         self.operand_key_positions = tuple(
             operand_schema.index(name) for name in self.link_attr_names
         )
-        # The raw atom lists are retained alongside the compiled
-        # closures: the codegen backend re-emits them as inline source.
         self.prefilter_atoms = tuple(prefilter_atoms)
         self.postfilter_atoms = tuple(postfilter_atoms)
-        self.prefilter = (
-            compile_condition(Condition.of_atoms(prefilter_atoms), operand_schema)
-            if prefilter_atoms
-            else None
-        )
-        self.postfilter = (
-            compile_condition(Condition.of_atoms(postfilter_atoms), acc_schema)
-            if postfilter_atoms
-            else None
-        )
 
     def describe(self, operand_name: str, step_index: int) -> str:
         """One human-readable line for this step of the plan."""
@@ -130,16 +107,15 @@ class StepPlan:
             parts.append(f"hash-join on [{links}]")
         elif step_index:
             parts.append("cross join (no equality link)")
-        if self.prefilter is not None:
+        if self.prefilter_atoms:
             parts.append("prefiltered")
-        if self.postfilter is not None:
+        if self.postfilter_atoms:
             parts.append("post-filtered")
         return "; ".join(parts)
 
 
 class RowPlanner:
-    """Evaluates a batch of truth-table rows for one view and one
-    transaction's operands.
+    """The evaluation plan of one view's truth-table shape.
 
     Parameters
     ----------
@@ -150,8 +126,6 @@ class RowPlanner:
     share_subexpressions:
         Memoize prefix joins across rows (default on; E13's ablation
         switch).
-    index_probe:
-        Optional hook answering OLD-operand probes from an index.
     """
 
     def __init__(
@@ -159,11 +133,9 @@ class RowPlanner:
         normal_form: NormalForm,
         changed_positions: Sequence[int],
         share_subexpressions: bool = True,
-        index_probe: IndexProbe | None = None,
     ) -> None:
         self.normal_form = normal_form
         self.share = share_subexpressions
-        self.index_probe = index_probe
         self.changed = tuple(sorted(set(changed_positions)))
         unchanged = [
             i for i in range(len(normal_form.occurrences)) if i not in self.changed
@@ -255,11 +227,6 @@ class RowPlanner:
         assert acc_schema is not None
         self._steps: tuple[StepPlan, ...] = tuple(steps)
         self._final_schema = acc_schema
-        self._final_filter = (
-            compile_condition(nf.condition, acc_schema)
-            if self._needs_final_filter
-            else None
-        )
         self._projection_positions = tuple(
             acc_schema.index(qualified) for _, qualified in nf.projection
         )
@@ -290,167 +257,6 @@ class RowPlanner:
             # value(x) = value(y) + c
             return (acc_schema.index(y), x, c)
         return None
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate_rows(
-        self,
-        rows: Iterable[Rows],
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        index_probe: IndexProbe | None = None,
-    ) -> TaggedRelation:
-        """Evaluate every row and merge the projected, tagged results.
-
-        ``operands[position][choice]`` supplies the tagged tuples of
-        each occurrence under each truth-table choice; DELTA entries are
-        only consulted for changed positions.  ``index_probe`` answers
-        OLD-operand probes for *this* execution; when omitted, the hook
-        supplied at construction applies.  Separating the two is what
-        lets one cached planner serve many transactions, each with its
-        own delta-screened probe closure.
-        """
-        if index_probe is None:
-            index_probe = self.index_probe
-        memo: dict[tuple, TaggedRelation] = {}
-        hash_cache: dict[tuple[int, DeltaRowChoice], dict] = {}
-        merged = TaggedRelation(self._output_schema)
-        if self._always_empty:
-            return merged
-
-        for row in rows:
-            charge("delta_rows_evaluated")
-            result = self._eval_prefix(
-                len(self._steps) - 1, row, operands, memo, hash_cache, index_probe
-            )
-            self._project_into(result, merged)
-        return merged
-
-    def _eval_prefix(
-        self,
-        step_index: int,
-        row: Rows,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        memo: dict,
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> TaggedRelation:
-        key = tuple(row[self._steps[j].position] for j in range(step_index + 1))
-        if self.share:
-            cached = memo.get(key)
-            if cached is not None:
-                charge("subexpression_memo_hits")
-                return cached
-
-        step = self._steps[step_index]
-        choice = row[step.position]
-        if step_index == 0:
-            result = self._load_first_operand(step, choice, operands)
-        else:
-            acc = self._eval_prefix(
-                step_index - 1, row, operands, memo, hash_cache, index_probe
-            )
-            result = self._join_step(
-                acc, step, choice, operands, hash_cache, index_probe
-            )
-
-        if self.share:
-            memo[key] = result
-        return result
-
-    def _load_first_operand(
-        self,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-    ) -> TaggedRelation:
-        source = operands[step.position][choice]
-        out = TaggedRelation(step.operand_schema)
-        prefilter = step.prefilter
-        for values, tag, count in source.items():
-            charge("tuples_scanned")
-            if prefilter is None or prefilter(values):
-                out.add(values, tag, count)
-        return out
-
-    def _join_step(
-        self,
-        acc: TaggedRelation,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> TaggedRelation:
-        out = TaggedRelation(step.acc_schema)
-        if acc.is_empty():
-            return out
-
-        probe = self._probe_for(step, choice, operands, hash_cache, index_probe)
-        eq_links = step.eq_links
-        postfilter = step.postfilter
-        for acc_values, acc_tag, acc_count in acc.items():
-            charge("join_probes")
-            probe_key = tuple(acc_values[pos] + shift for pos, _, shift in eq_links)
-            for op_values, op_tag, op_count in probe(probe_key):
-                tag = combine_join_tags(acc_tag, op_tag)
-                if tag is Tag.IGNORE:
-                    charge("tuples_ignored")
-                    continue
-                row = acc_values + op_values
-                if postfilter is not None and not postfilter(row):
-                    continue
-                charge("tuples_emitted")
-                out.add(row, tag, acc_count * op_count)
-        return out
-
-    def _probe_for(
-        self,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> ProbeFn:
-        """A probe function over the operand, preferring a caller index.
-
-        The index fast path applies to OLD operands only (indexes track
-        base relations); DELTA operands are hashed directly — they are
-        small by assumption.
-        """
-        if (
-            choice is DeltaRowChoice.OLD
-            and index_probe is not None
-            and step.link_attr_names
-        ):
-            indexed = index_probe(step.position, step.link_attr_names)
-            if indexed is not None:
-                prefilter = step.prefilter
-                if prefilter is None:
-                    return indexed
-
-                def filtered(key: ValueTuple, _inner=indexed, _pred=prefilter):
-                    for values, tag, count in _inner(key):
-                        if _pred(values):
-                            yield values, tag, count
-
-                return filtered
-
-        cache_key = (step.position, choice)
-        table = hash_cache.get(cache_key)
-        if table is None:
-            table = {}
-            source = operands[step.position][choice]
-            key_positions = step.operand_key_positions
-            prefilter = step.prefilter
-            for values, tag, count in source.items():
-                charge("tuples_scanned")
-                if prefilter is not None and not prefilter(values):
-                    continue
-                key = tuple(values[i] for i in key_positions)
-                table.setdefault(key, []).append((values, tag, count))
-            hash_cache[cache_key] = table
-        return lambda key: table.get(key, ())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -491,8 +297,8 @@ class RowPlanner:
         Lists the truth-table rows to evaluate, the delta-first operand
         order, and per step: the hash-join links (with ``x = y + c``
         shifts), operand prefilters and post-join filters the pushdown
-        assigned — the textual form of what :meth:`evaluate_rows` will
-        execute.
+        assigned — the textual form of what the generated step
+        functions execute.
         """
         from repro.core.truthtable import count_delta_rows, enumerate_delta_rows
         from repro.core.truthtable import render_row
@@ -514,37 +320,28 @@ class RowPlanner:
         for index, step in enumerate(self._steps):
             occ = nf.occurrences[step.position]
             lines.append("  " + step.describe(occ.name, index))
-        if self._final_filter is not None:
+        if self._needs_final_filter:
             lines.append("final pass: full DNF condition re-check")
         lines.append(
             "projection: " + ", ".join(out for out, _ in nf.projection)
         )
         lines.append(
-            f"subexpression sharing: {'on' if self.share else 'off'}; "
-            f"index probes: {'available' if self.index_probe else 'none'}"
+            f"subexpression sharing: {'on' if self.share else 'off'}"
         )
         return "\n".join(lines)
-
-    def _project_into(self, result: TaggedRelation, merged: TaggedRelation) -> None:
-        """Apply the final filter and projection; accumulate into merged."""
-        final_filter = self._final_filter
-        positions = self._projection_positions
-        for values, tag, count in result.items():
-            if final_filter is not None and not final_filter(values):
-                continue
-            merged.add(tuple(values[i] for i in positions), tag, count)
 
 
 def evaluate_normal_form(
     normal_form: NormalForm,
-    instances: Mapping[str, "object"],
-) -> "object":
-    """Full (non-differential) evaluation via the pipelined planner.
+    instances: Mapping[str, "Relation"],
+) -> "Relation":
+    """Full (non-differential) evaluation through the generated kernels.
 
-    Treats every operand as OLD and evaluates the single all-old row,
-    so the complete re-evaluation baseline enjoys the same hash joins
-    and selection pushdown the differential path gets — the benchmark
-    comparisons stay apples-to-apples.  Returns a counted
+    Treats every operand as OLD and runs the single all-OLD row through
+    the same step functions and driver the differential rows use, so
+    the complete re-evaluation baseline enjoys the same hash joins and
+    selection pushdown — the benchmark comparisons stay
+    apples-to-apples.  Returns a counted
     :class:`~repro.algebra.relation.Relation` over the view's output
     schema.
 
@@ -553,6 +350,7 @@ def evaluate_normal_form(
     the two on random inputs.
     """
     from repro.algebra.relation import Relation
+    from repro.core.codegen import standalone_kernels
 
     planner = RowPlanner(normal_form, changed_positions=())
     operands = []
@@ -562,15 +360,10 @@ def evaluate_normal_form(
             occurrence.qualified_names()
         )
         tagged = TaggedRelation(occ_schema)
-        for values, count in relation.items():  # type: ignore[attr-defined]
+        for values, count in relation.items():
             tagged.add(values, Tag.OLD, count)
         operands.append({DeltaRowChoice.OLD: tagged})
-    all_old = tuple([DeltaRowChoice.OLD] * len(normal_form.occurrences))
-    merged = planner.evaluate_rows([all_old], operands)
-
-    out = Relation(normal_form.output_schema())
-    counts = out._counts
-    for values, tag, count in merged.items():
-        assert tag is Tag.OLD
-        counts[values] = counts.get(values, 0) + count
+    all_old = (DeltaRowChoice.OLD,) * len(normal_form.occurrences)
+    out = Relation(planner.output_schema)
+    out._counts, _ = standalone_kernels(planner, (all_old,)).run(operands)
     return out

@@ -63,12 +63,10 @@ one call site):
 * codegen (``codegen_*``; see ``docs/codegen.md``) —
   ``codegen_plans_compiled`` (kernel sets generated, ``compile()``-d
   and installed by :mod:`repro.core.codegen`, charged once per screen
-  compilation and once per truth-table shape),
-  ``codegen_batch_rows`` (delta tuples screened plus truth-table rows
-  evaluated by the generated batch kernels — the work the per-tuple
-  interpreter would otherwise have dispatched tuple by tuple), and
-  ``codegen_fallback_tuples`` (delta tuples routed back to the
-  interpreter because the view exceeded the codegen size caps).
+  compilation and once per truth-table shape), and
+  ``codegen_batch_rows`` (delta tuples screened, truth-table rows
+  evaluated and core rows folded by the generated batch kernels —
+  the work the kernels dispatch per batch rather than per tuple).
 
 Usage::
 

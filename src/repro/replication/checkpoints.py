@@ -1,12 +1,16 @@
 """Checkpoint documents: a base snapshot anchored to a WAL position.
 
 A checkpoint is the recovery starting point: one JSON document holding
-every base relation (via :func:`repro.engine.persistence`), the stored
-contents of every materialized view (multiplicity counters included),
-the transaction-id counter, and the WAL sequence the snapshot is
-current as of.  Recovery loads the newest checkpoint and replays only
-the WAL records *after* its sequence — views restored from the
-checkpoint then catch up differentially, never by recomputation.
+every base relation (via :func:`repro.engine.persistence`), the
+declared keys, foreign keys and constraints, the stored contents of
+every materialized view (multiplicity counters included), the
+transaction-id counter, and the WAL sequence the snapshot is current
+as of.  Recovery loads the newest checkpoint and replays only the WAL
+records *after* its sequence — views restored from the checkpoint then
+catch up differentially, never by recomputation.  Declarations made or
+dropped after the checkpoint are WAL records of their own (one
+relation's :func:`relation_declarations` each), which replay applies
+in commit order through :func:`apply_relation_declarations`.
 
 View *definitions* are code, not data: the checkpoint persists each
 view's contents and policy under its name, and the recovering process
@@ -31,7 +35,7 @@ from repro.engine.persistence import (
     relation_from_document,
     relation_to_document,
 )
-from repro.errors import ReplicationError
+from repro.errors import ReplicationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.maintainer import ViewMaintainer
@@ -102,6 +106,19 @@ def write_checkpoint(
         "wal_sequence": wal_sequence,
         "next_txn_id": database.next_txn_id,
         "database": database_to_document(database),
+        "keys": [
+            [name, list(key)]
+            for name, keys in database.keys.items()
+            for key in keys
+        ],
+        "foreign_keys": [
+            [fk.relation, list(fk.attributes), fk.ref_relation,
+             list(fk.ref_attributes)]
+            for fk in database.keys.foreign_key_items()
+        ],
+        "constraints": {
+            name: str(condition) for name, condition in database.constraints.items()
+        },
         "views": views,
     }
     path = checkpoint_path(directory, wal_sequence)
@@ -114,10 +131,84 @@ def write_checkpoint(
     return path
 
 
+def relation_declarations(database: Database, relation_name: str) -> dict[str, Any]:
+    """One relation's declared keys, foreign keys and constraint."""
+    constraint = database.constraints.get(relation_name)
+    return {
+        "relation": relation_name,
+        "keys": [list(key) for key in database.keys.keys_of(relation_name)],
+        "foreign_keys": [
+            [list(fk.attributes), fk.ref_relation, list(fk.ref_attributes)]
+            for fk in database.keys.foreign_keys_of(relation_name)
+        ],
+        "constraint": None if constraint is None else str(constraint),
+    }
+
+
+def apply_relation_declarations(database: Database, doc: dict[str, Any]) -> None:
+    """Make one relation's declarations exactly those of ``doc``.
+
+    Drops come first (foreign keys before the keys they may target),
+    then the declarations ``doc`` adds, through the database's own
+    ``declare_*`` methods, which validate the stored rows as they
+    declare.  Applying a document that matches the current state
+    changes nothing and fires no DDL event.
+    """
+    try:
+        name = doc["relation"]
+        keys = {tuple(key) for key in doc["keys"]}
+        foreign_keys = {
+            (tuple(attributes), ref_relation, tuple(ref_attributes))
+            for attributes, ref_relation, ref_attributes in doc["foreign_keys"]
+        }
+        constraint = doc["constraint"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplicationError(f"declarations document is malformed: {exc}") from exc
+
+    def current_foreign_keys() -> set[tuple[tuple[str, ...], str, tuple[str, ...]]]:
+        return {
+            (fk.attributes, fk.ref_relation, fk.ref_attributes)
+            for fk in database.keys.foreign_keys_of(name)
+        }
+
+    try:
+        stale = current_foreign_keys() - foreign_keys
+        for ref_relation in sorted({ref for _, ref, _ in stale}):
+            database.drop_foreign_key(name, ref_relation)
+        for key in sorted(set(database.keys.keys_of(name)) - keys):
+            database.drop_key(name, key)
+        declared = database.constraints.get(name)
+        if constraint is None:
+            if declared is not None:
+                database.drop_constraint(name)
+        elif declared is None or str(declared) != constraint:
+            database.declare_constraint(name, constraint)
+        for key in sorted(keys - set(database.keys.keys_of(name))):
+            database.declare_key(name, key)
+        for attributes, ref_relation, ref_attributes in sorted(
+            foreign_keys - current_foreign_keys()
+        ):
+            database.declare_foreign_key(
+                name, attributes, ref_relation, ref_attributes
+            )
+    except ReproError as exc:
+        raise ReplicationError(
+            f"cannot apply the declarations of {name!r}: {exc}"
+        ) from exc
+
+
 class Checkpoint:
     """A decoded checkpoint document."""
 
-    __slots__ = ("wal_sequence", "next_txn_id", "_database_doc", "_views")
+    __slots__ = (
+        "wal_sequence",
+        "next_txn_id",
+        "_database_doc",
+        "_keys",
+        "_foreign_keys",
+        "_constraints",
+        "_views",
+    )
 
     def __init__(self, doc: dict[str, Any]) -> None:
         if doc.get("format") != CHECKPOINT_FORMAT_VERSION:
@@ -129,6 +220,11 @@ class Checkpoint:
             self.wal_sequence = int(doc["wal_sequence"])
             self.next_txn_id = int(doc["next_txn_id"])
             self._database_doc = doc["database"]
+            # Absent from checkpoints written before declarations were
+            # persisted; those load with none declared.
+            self._keys = doc.get("keys", [])
+            self._foreign_keys = doc.get("foreign_keys", [])
+            self._constraints = doc.get("constraints", {})
             self._views = doc.get("views", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ReplicationError(f"checkpoint document is malformed: {exc}") from exc
@@ -144,11 +240,29 @@ class Checkpoint:
         return cls(doc)
 
     def build_database(self) -> Database:
-        """A fresh database holding the snapshot's base relations."""
+        """A fresh database holding the snapshot's base relations.
+
+        The checkpointed constraints, keys and foreign keys are declared
+        again through the database's own ``declare_*`` methods, which
+        validate the snapshot against each as they declare it.
+        """
         try:
             database = database_from_document(self._database_doc)
         except PersistenceError as exc:
             raise ReplicationError(f"checkpoint snapshot is invalid: {exc}") from exc
+        try:
+            for name, condition in sorted(self._constraints.items()):
+                database.declare_constraint(name, condition)
+            for name, attributes in self._keys:
+                database.declare_key(name, attributes)
+            for name, attributes, ref_name, ref_attributes in self._foreign_keys:
+                database.declare_foreign_key(
+                    name, attributes, ref_name, ref_attributes
+                )
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ReplicationError(
+                f"checkpoint declarations are invalid: {exc}"
+            ) from exc
         database.advance_txn_counter(self.next_txn_id)
         return database
 

@@ -2,9 +2,11 @@
 
 :class:`DurabilityManager` is the leader-side component: a commit hook
 that serializes every committed transaction's net-effect deltas into
-the write-ahead log, plus the checkpoint operation that snapshots the
-base relations (and, given a maintainer, every view's stored contents)
-and prunes fully-covered log segments.
+the write-ahead log, a DDL hook that logs each key, foreign-key or
+constraint declaration or drop as a declarations record in the same
+order, plus the checkpoint operation that snapshots the base relations
+(and, given a maintainer, every view's stored contents) and prunes
+fully-covered log segments.
 
 The intended lifecycle::
 
@@ -30,11 +32,22 @@ from typing import TYPE_CHECKING, Mapping
 from repro.algebra.relation import Delta
 from repro.engine.database import Database
 from repro.engine.persistence import deltas_to_document
-from repro.replication.checkpoints import write_checkpoint
+from repro.replication.checkpoints import relation_declarations, write_checkpoint
 from repro.replication.wal import DEFAULT_SEGMENT_BYTES, WalIO, WalWriter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.maintainer import ViewMaintainer
+
+#: DDL events that change what the commit pipeline enforces; each is
+#: logged so replay enforces, record by record, what the leader did.
+DECLARATION_EVENTS = frozenset({
+    "declare_key",
+    "drop_key",
+    "declare_foreign_key",
+    "drop_foreign_key",
+    "declare_constraint",
+    "drop_constraint",
+})
 
 
 class DurabilityManager:
@@ -42,7 +55,8 @@ class DurabilityManager:
 
     Constructing the manager opens (or creates) the log in
     ``directory`` — recovering a torn tail if the previous process
-    crashed mid-append — and registers a commit hook on ``database``.
+    crashed mid-append — and registers a commit hook and a DDL hook on
+    ``database``.
     ``segment_bytes``, ``sync`` and ``io`` are passed through to
     :class:`~repro.replication.wal.WalWriter`.
     """
@@ -62,6 +76,7 @@ class DurabilityManager:
         )
         self._attached = False
         database.add_commit_hook(self._on_commit)
+        database.add_ddl_hook(self._on_ddl)
         self._attached = True
 
     # ------------------------------------------------------------------
@@ -71,6 +86,16 @@ class DurabilityManager:
         if not deltas:
             return
         self._writer.append(txn_id, deltas_to_document(dict(deltas)))
+
+    def _on_ddl(self, event: str, relation_name: str) -> None:
+        if event not in DECLARATION_EVENTS:
+            return
+        sequence = self._writer.append_declarations(
+            relation_declarations(self.database, relation_name)
+        )
+        # The record holds a WAL sequence but is no transaction: keep
+        # the in-memory log's next sequence in step with the WAL.
+        self.database.log.advance_sequence(sequence + 1)
 
     @property
     def position(self) -> int:
@@ -126,6 +151,7 @@ class DurabilityManager:
         """Detach from the commit stream and close the log cleanly."""
         if self._attached:
             self.database.remove_commit_hook(self._on_commit)
+            self.database.remove_ddl_hook(self._on_ddl)
             self._attached = False
         self._writer.close()
 

@@ -33,17 +33,23 @@ the memory for the base copies is gone.  Constraint enforcement is
 necessarily the leader's job in this mode: a base-free host has no
 state to validate deltas against.
 
-Declared keys widen what a base-free follower may host.  Declaring the
-leader's keys and foreign keys on the follower
-(:meth:`Follower.declare_key` / :meth:`Follower.declare_foreign_key`,
-before the views) feeds the chase the premises for the ``fk_join``
+Declared keys widen what a base-free follower may host.  The leader's
+keys, foreign keys and constraints as of its checkpoint arrive with the
+checkpoint, and every later declaration or drop arrives as a WAL record
+in commit order; :meth:`Follower.declare_key` /
+:meth:`Follower.declare_foreign_key` add follower-local premises (before
+the views; a leader declarations record for the same relation replaces
+them).  They feed the chase the premises for the ``fk_join``
 self-maintainability class: a join view whose probe relations are
 reached through declared foreign keys onto their declared keys
 compiles to an FK-reduced plan that executes over the delta relation
 alone, so it — inserts *and* deletes, which the shipped records carry
 as leader-validated net effects — maintains exactly like a
 single-relation view, with probe-relation deltas proven irrelevant and
-dropped wholesale.
+dropped wholesale.  A shipped drop that takes such a premise away
+leaves the view without a base-free plan, and the follower stops with
+a :class:`~repro.errors.ReplicationError` rather than maintain it
+wrongly.
 """
 
 from __future__ import annotations
@@ -51,12 +57,11 @@ from __future__ import annotations
 from repro.algebra.expressions import Expression
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.core.views import MaterializedView
-from repro.engine.log import replay_records
 from repro.errors import ReplicationError
 from repro.instrumentation import charge
 from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
-from repro.replication.recovery import decode_wal_record
-from repro.replication.wal import TailDamage, WalReader
+from repro.replication.recovery import apply_wal_record, decode_wal_record
+from repro.replication.wal import TailDamage, WalReader, WalRecord
 
 
 class Follower:
@@ -132,12 +137,11 @@ class Follower:
     def declare_key(self, relation_name: str, attributes) -> tuple[str, ...]:
         """Declare a candidate key on the follower's replica.
 
-        Mirror the leader's declarations *before* defining views: the
-        chase premises unlock the ``fk_join`` self-maintainability
-        class, letting a base-free follower host FK-joins (see the
-        module docstring).  The follower never enforces keys itself —
-        shipped records are leader-validated — so declarations here
-        are purely analysis premises.
+        Mirror leader declarations made after its checkpoint *before*
+        defining views (the checkpoint's own declarations are already
+        in place): the chase premises unlock the ``fk_join``
+        self-maintainability class, letting a base-free follower host
+        FK-joins (see the module docstring).
         """
         return self.database.declare_key(relation_name, attributes)
 
@@ -182,7 +186,7 @@ class Follower:
                 f"{record.sequence}: records {self.position + 1}.."
                 f"{record.sequence - 1} are missing"
             )
-        if self.base_free:
+        if self.base_free and record.declarations is None:
             self.shed_base_copies()
             log_record = decode_wal_record(self.database, record)
             appended = self.database.log.append(
@@ -196,11 +200,11 @@ class Follower:
                 )
             self.maintainer.apply_deltas(log_record.txn_id, log_record.deltas)
         else:
-            replay_records(
-                self.database,
-                [decode_wal_record(self.database, record)],
-                preserve_txn_ids=True,
-            )
+            apply_wal_record(self.database, record)
+            if self._base_dropped:  # a declarations record, base-free
+                self._check_self_maintainable(
+                    f" after the declarations of WAL record {record.sequence}"
+                )
         self.position = record.sequence
         return True
 
@@ -228,6 +232,16 @@ class Follower:
             )
         if self._base_dropped:
             return self.base_rows_dropped
+        self._check_self_maintainable()
+        dropped = 0
+        for name in sorted(self.database.relation_names()):
+            dropped += self.database.relation(name).clear()
+        self.base_rows_dropped = dropped
+        self._base_dropped = True
+        charge("base_free_rows_dropped", dropped)
+        return dropped
+
+    def _check_self_maintainable(self, context: str = "") -> None:
         offenders = [
             name
             for name in self.maintainer.view_names()
@@ -240,15 +254,8 @@ class Follower:
             )
             raise ReplicationError(
                 "base-free follower cannot host non-self-maintainable "
-                f"view(s) {offenders}: {reasons}"
+                f"view(s) {offenders}{context}: {reasons}"
             )
-        dropped = 0
-        for name in sorted(self.database.relation_names()):
-            dropped += self.database.relation(name).clear()
-        self.base_rows_dropped = dropped
-        self._base_dropped = True
-        charge("base_free_rows_dropped", dropped)
-        return dropped
 
     def poll(self, max_records: int | None = None) -> int:
         """Consume newly shipped records; returns how many were applied.

@@ -16,7 +16,10 @@ views *differentially* maintained rather than recomputed:
    transaction ids.  Every commit hook fires exactly as it did before
    the crash, so the maintainer's filter + differential machinery
    brings every view (and every index) up to date, and deferred views
-   re-accumulate their pending backlogs.
+   re-accumulate their pending backlogs.  Declarations records
+   re-declare or drop keys, foreign keys and constraints at the point
+   the leader did, so each replayed commit is checked against exactly
+   the declarations it was checked against before the crash.
 
 Replay is deterministic: records hold *net effects* (Section 3), whose
 application is insensitive to the vagaries of the original operation
@@ -37,7 +40,11 @@ from repro.engine.database import Database
 from repro.engine.log import LogRecord, replay_records
 from repro.engine.persistence import PersistenceError, deltas_from_document
 from repro.errors import ReplicationError
-from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
+from repro.replication.checkpoints import (
+    Checkpoint,
+    apply_relation_declarations,
+    latest_checkpoint_path,
+)
 from repro.replication.wal import TailDamage, WalReader, WalRecord
 
 
@@ -50,6 +57,25 @@ def decode_wal_record(database: Database, record: WalRecord) -> LogRecord:
             f"cannot decode WAL record {record.sequence}: {exc}"
         ) from exc
     return LogRecord(record.txn_id, record.sequence, deltas)
+
+
+def apply_wal_record(database: Database, record: WalRecord) -> bool:
+    """Apply one WAL record to a replica's database; True for a
+    transaction.
+
+    A transaction is re-committed through the normal commit pipeline
+    under its original id; a declarations record is applied to the
+    catalog, and the in-memory log skips its sequence, so later commits
+    keep their WAL sequences.
+    """
+    if record.declarations is not None:
+        apply_relation_declarations(database, record.declarations)
+        database.log.advance_sequence(record.sequence + 1)
+        return False
+    replay_records(
+        database, [decode_wal_record(database, record)], preserve_txn_ids=True
+    )
+    return True
 
 
 class Recovery:
@@ -127,13 +153,10 @@ class Recovery:
         new transaction touches :attr:`database`.
         """
         reader = WalReader(self.directory)
-
-        def decoded():
-            for record in reader.records(after=self.checkpoint_sequence):
-                self.last_sequence = record.sequence
-                yield decode_wal_record(self.database, record)
-
-        replayed = replay_records(self.database, decoded(), preserve_txn_ids=True)
+        replayed = 0
+        for record in reader.records(after=self.checkpoint_sequence):
+            replayed += apply_wal_record(self.database, record)
+            self.last_sequence = record.sequence
         self.tail_damage = reader.tail_damage
         return replayed
 

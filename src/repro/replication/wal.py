@@ -14,6 +14,15 @@ Every record is one line of JSON::
 
     {"body": {"seq": 7, "txn": 12, "deltas": {...}}, "crc": 2833017299}
 
+A *declarations* record takes a sequence of its own and carries, in
+place of ``txn`` and ``deltas``, one relation's complete set of declared
+keys, foreign keys and constraint after a declaration or drop::
+
+    {"body": {"seq": 8, "declare": {"relation": "p", ...}}, "crc": ...}
+
+so replay re-establishes every declaration at the point in the commit
+order where the leader made it.
+
 ``crc`` is the CRC-32 of the canonical (sorted-key, no-whitespace) JSON
 encoding of ``body``; deltas serialize rows in sorted order, so a given
 record always produces identical bytes.  Records live in *segment*
@@ -42,8 +51,9 @@ from typing import Any, Iterator, Mapping
 from repro.errors import ReplicationError
 from repro.instrumentation import charge
 
-#: Bumped on any incompatible record-format change.
-WAL_FORMAT_VERSION = 1
+#: Bumped on any incompatible record-format change (2: declarations
+#: records).
+WAL_FORMAT_VERSION = 2
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -70,17 +80,32 @@ class TailDamage:
 
 
 class WalRecord:
-    """One committed transaction as shipped through the log."""
+    """One committed transaction, or one relation's declarations, as
+    shipped through the log."""
 
-    __slots__ = ("sequence", "txn_id", "deltas_doc")
+    __slots__ = ("sequence", "txn_id", "deltas_doc", "declarations")
 
-    def __init__(self, sequence: int, txn_id: int, deltas_doc: dict[str, Any]) -> None:
+    def __init__(
+        self,
+        sequence: int,
+        txn_id: int,
+        deltas_doc: dict[str, Any],
+        declarations: dict[str, Any] | None = None,
+    ) -> None:
         self.sequence = sequence
         self.txn_id = txn_id
         #: Per-relation delta documents (see persistence.delta_to_document).
         self.deltas_doc = deltas_doc
+        #: One relation's declarations (see
+        #: checkpoints.relation_declarations); ``None`` on a transaction.
+        self.declarations = declarations
 
     def __repr__(self) -> str:
+        if self.declarations is not None:
+            return (
+                f"<WalRecord seq={self.sequence} declarations of "
+                f"{self.declarations.get('relation')!r}>"
+            )
         return (
             f"<WalRecord seq={self.sequence} txn={self.txn_id} "
             f"{sorted(self.deltas_doc)}>"
@@ -95,12 +120,20 @@ def _canonical(body: dict[str, Any]) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def encode_record(sequence: int, txn_id: int, deltas_doc: dict[str, Any]) -> bytes:
-    """Serialize one record to its checksummed JSONL line (with newline)."""
-    body = {"seq": sequence, "txn": txn_id, "deltas": deltas_doc}
+def _encode_body(body: dict[str, Any]) -> bytes:
     crc = zlib.crc32(_canonical(body))
     line = json.dumps({"body": body, "crc": crc}, sort_keys=True, separators=(",", ":"))
     return line.encode("utf-8") + b"\n"
+
+
+def encode_record(sequence: int, txn_id: int, deltas_doc: dict[str, Any]) -> bytes:
+    """Serialize one record to its checksummed JSONL line (with newline)."""
+    return _encode_body({"seq": sequence, "txn": txn_id, "deltas": deltas_doc})
+
+
+def encode_declarations_record(sequence: int, declarations: dict[str, Any]) -> bytes:
+    """Serialize one declarations record (see the module docstring)."""
+    return _encode_body({"seq": sequence, "declare": declarations})
 
 
 def decode_line(raw: bytes) -> WalRecord | None:
@@ -110,17 +143,23 @@ def decode_line(raw: bytes) -> WalRecord | None:
         body = doc["body"]
         crc = doc["crc"]
         sequence = body["seq"]
-        txn_id = body["txn"]
-        deltas_doc = body["deltas"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        declarations = body.get("declare")
+        if declarations is None:
+            txn_id = body["txn"]
+            deltas_doc = body["deltas"]
+        else:
+            txn_id, deltas_doc = 0, {}
+    except (ValueError, KeyError, TypeError, AttributeError, UnicodeDecodeError):
         return None
     if not isinstance(sequence, int) or not isinstance(txn_id, int):
         return None
     if not isinstance(deltas_doc, dict):
         return None
+    if declarations is not None and not isinstance(declarations, dict):
+        return None
     if zlib.crc32(_canonical(body)) != crc:
         return None
-    return WalRecord(sequence, txn_id, deltas_doc)
+    return WalRecord(sequence, txn_id, deltas_doc, declarations)
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +393,18 @@ class WalWriter:
     def append(self, txn_id: int, deltas_doc: Mapping[str, Any]) -> int:
         """Append one committed transaction; returns its sequence."""
         sequence = self._last_sequence + 1
-        line = encode_record(sequence, txn_id, dict(deltas_doc))
+        return self._append_line(
+            sequence, encode_record(sequence, txn_id, dict(deltas_doc))
+        )
+
+    def append_declarations(self, declarations: Mapping[str, Any]) -> int:
+        """Append one relation's declarations; returns its sequence."""
+        sequence = self._last_sequence + 1
+        return self._append_line(
+            sequence, encode_declarations_record(sequence, dict(declarations))
+        )
+
+    def _append_line(self, sequence: int, line: bytes) -> int:
         stream = self._stream_for(sequence)
         self._io.write(stream, line)
         if self.sync == "commit":

@@ -157,7 +157,7 @@ class ReplicaLink:
         """Leader side: offer the next window of records; returns sent."""
         sent = 0
         for record in self._reader.records(after=self.follower.position):
-            self.channel.send((record.sequence, record.txn_id, record.deltas_doc))
+            self.channel.send(record)
             sent += 1
             if sent >= self.window:
                 break
@@ -167,9 +167,10 @@ class ReplicaLink:
         """Replica side: apply due, in-order records; returns applied."""
         if self.channel.clock.now < self.stalled_until:
             return 0
-        for sequence, txn_id, deltas_doc in self.channel.deliver_due():
+        for record in self.channel.deliver_due():
+            sequence = record.sequence
             if sequence > self.follower.position and sequence not in self._buffer:
-                self._buffer[sequence] = WalRecord(sequence, txn_id, deltas_doc)
+                self._buffer[sequence] = record
         applied = 0
         while self.follower.position + 1 in self._buffer:
             record = self._buffer.pop(self.follower.position + 1)

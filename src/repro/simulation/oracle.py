@@ -46,9 +46,8 @@ from typing import TYPE_CHECKING
 
 from repro.algebra.evaluate import evaluate
 from repro.engine.database import Database
-from repro.engine.log import replay_records
 from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
-from repro.replication.recovery import decode_wal_record
+from repro.replication.recovery import apply_wal_record
 from repro.replication.wal import WalReader
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,15 +112,9 @@ def ground_truth_database(directory: str) -> tuple[Database, int]:
     database = checkpoint.build_database()
     database.log.advance_sequence(checkpoint.wal_sequence + 1)
     last = checkpoint.wal_sequence
-    reader = WalReader(directory)
-
-    def decoded():
-        nonlocal last
-        for record in reader.records(after=checkpoint.wal_sequence):
-            last = record.sequence
-            yield decode_wal_record(database, record)
-
-    replay_records(database, decoded(), preserve_txn_ids=True)
+    for record in WalReader(directory).records(after=checkpoint.wal_sequence):
+        apply_wal_record(database, record)
+        last = record.sequence
     return database, last
 
 

@@ -153,13 +153,22 @@ def update_streams(
     without tripping existence checks.
     """
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    txns = draw(st.integers(min_value=1, max_value=max_txns))
+    return seeded_update_stream(seed, txns, max_ops, value_max)
+
+
+def seeded_update_stream(
+    seed: int, txns: int, max_ops: int = 4, value_max: int = 6
+):
+    """The stream :func:`update_streams` draws, as a plain function of
+    its seed and length (for tests pinned to recorded values)."""
     rng = random.Random(seed)
     initial = spj_database_rows(rng)
     live: dict[str, list[tuple[int, ...]]] = {
         name: list(rows) for name, rows in initial.items()
     }
     transactions: list[list[tuple[str, str, tuple[int, ...]]]] = []
-    for _ in range(draw(st.integers(min_value=1, max_value=max_txns))):
+    for _ in range(txns):
         ops: list[tuple[str, str, tuple[int, ...]]] = []
         for _ in range(rng.randint(1, max_ops)):
             name = rng.choice(sorted(SPJ_TABLES))

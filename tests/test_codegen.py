@@ -2,12 +2,13 @@
 
 The codegen contract has four legs, each pinned here:
 
-* **equivalence** — a maintainer running the generated kernels and one
-  running the per-tuple interpreter agree byte-for-byte on view
-  contents *and* on every abstract work counter, over random legal
-  update streams covering every truth-table shape the views produce
-  (single-relation, two- and three-way joins, counted projections,
-  disjunctions needing the final DNF re-check);
+* **equivalence** — the maintained views equal the independent tree
+  evaluator (:func:`repro.algebra.evaluate.evaluate`) byte-for-byte
+  over random legal update streams covering every truth-table shape the
+  views produce (single-relation, two- and three-way joins, counted
+  projections, disjunctions needing the final DNF re-check), and a
+  fixed stream charges exactly the abstract-work counters recorded
+  for it with kernel generator version 3;
 * **determinism** — compiling the same view twice emits byte-identical
   kernel source (replicas must agree on the code they run, not just
   its results);
@@ -15,9 +16,9 @@ The codegen contract has four legs, each pinned here:
   screen source cannot survive ``declare_constraint`` /
   ``drop_constraint``: the DDL drops the compiled kernels with the
   plan, and the recompiled source changes behavior immediately;
-* **fallback** — views exceeding the codegen size caps fall back to
-  the interpreter, charging ``codegen_fallback_tuples``, with
-  identical results.
+* **wide views** — a ten-occurrence chain join maintains correctly
+  through 127- and 1023-row truth tables, and the generated source
+  grows linearly in the number of occurrences.
 """
 
 import random
@@ -26,10 +27,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
+from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta
-from repro.core.codegen import CODEGEN_VERSION, DeltaBatch, plan_fingerprint
+from repro.core.codegen import (
+    CODEGEN_VERSION,
+    DeltaBatch,
+    codegen_rows,
+    generate_shape_source,
+    plan_fingerprint,
+)
 from repro.instrumentation import CostRecorder, recording
 
 # ----------------------------------------------------------------------
@@ -49,7 +56,7 @@ VIEW_SHAPES = {
     "disj": BaseRef("r").select("A < 3 or B > 6"),
 }
 
-#: Work counters both execution modes must charge identically.
+#: Abstract-work counters pinned to recorded values.
 PARITY_COUNTERS = (
     "tuples_scanned",
     "join_probes",
@@ -117,20 +124,49 @@ def _run_stream(stream, **maintainer_options):
     return maintainer, recorder.snapshot(), contents
 
 
-def _assert_parity(stream, **options):
-    """Codegen and interpreter agree on contents and on all counters."""
-    m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True, **options)
-    m_int, c_int, v_int = _run_stream(stream, use_codegen=False, **options)
-    assert v_gen == v_int
-    for name in PARITY_COUNTERS:
-        assert c_gen.get(name, 0) == c_int.get(name, 0), (
-            name,
-            c_gen.get(name, 0),
-            c_int.get(name, 0),
-        )
-    assert m_gen.codegen_stats().plans_compiled > 0
-    assert m_int.codegen_stats().plans_compiled == 0
-    assert "codegen_plans_compiled" not in c_int
+def _assert_matches_oracle(stream, **options):
+    """Every maintained view equals the tree evaluator's recompute."""
+    maintainer, counters, contents = _run_stream(stream, **options)
+    instances = maintainer.database.instances()
+    for name, expression in VIEW_SHAPES.items():
+        assert contents[name] == dict(evaluate(expression, instances).counts())
+    assert maintainer.codegen_stats().plans_compiled > 0
+    return counters
+
+
+#: Counters the seed-17 stream charged under each option set, recorded
+#: with kernel generator version 3; later generators must do the same
+#: abstract work.
+RECORDED_COUNTERS = {
+    "default": {
+        "delta_rows_evaluated": 116, "differential_updates": 72,
+        "filter_bound_probes": 103, "filter_ground_evals": 91,
+        "filter_tuples_checked": 157, "index_probes": 158,
+        "join_probes": 269, "subexpression_memo_hits": 28,
+        "truth_table_rows": 116, "tuples_emitted": 118,
+        "tuples_ignored": 6, "tuples_scanned": 241,
+    },
+    "no_sharing": {
+        "delta_rows_evaluated": 116, "differential_updates": 72,
+        "filter_bound_probes": 103, "filter_ground_evals": 91,
+        "filter_tuples_checked": 157, "index_probes": 161,
+        "join_probes": 290, "truth_table_rows": 116,
+        "tuples_emitted": 119, "tuples_ignored": 6, "tuples_scanned": 296,
+    },
+    "no_indexes": {
+        "delta_rows_evaluated": 116, "differential_updates": 72,
+        "filter_bound_probes": 103, "filter_ground_evals": 91,
+        "filter_tuples_checked": 157, "join_probes": 269,
+        "subexpression_memo_hits": 28, "truth_table_rows": 116,
+        "tuples_emitted": 118, "tuples_ignored": 6, "tuples_scanned": 459,
+    },
+    "no_filter": {
+        "delta_rows_evaluated": 148, "differential_updates": 86,
+        "index_probes": 162, "join_probes": 317,
+        "subexpression_memo_hits": 37, "truth_table_rows": 148,
+        "tuples_emitted": 118, "tuples_ignored": 6, "tuples_scanned": 325,
+    },
+}
 
 
 rows_st = st.tuples(
@@ -152,8 +188,8 @@ stream_st = st.lists(
 class TestEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(stream=stream_st)
-    def test_codegen_matches_interpreter_on_random_streams(self, stream):
-        _assert_parity(stream)
+    def test_kernels_match_oracle_on_random_streams(self, stream):
+        _assert_matches_oracle(stream)
 
     def test_parity_holds_under_every_ablation(self):
         rng = random.Random(17)
@@ -168,13 +204,19 @@ class TestEquivalence:
             ]
             for _ in range(25)
         ]
-        for options in (
-            {},
-            {"share_subexpressions": False},
-            {"use_indexes": False},
-            {"use_relevance_filter": False},
+        for label, options in (
+            ("default", {}),
+            ("no_sharing", {"share_subexpressions": False}),
+            ("no_indexes", {"use_indexes": False}),
+            ("no_filter", {"use_relevance_filter": False}),
         ):
-            _assert_parity(stream, **options)
+            counters = _assert_matches_oracle(stream, **options)
+            observed = {
+                name: counters[name]
+                for name in PARITY_COUNTERS
+                if counters.get(name, 0)
+            }
+            assert observed == RECORDED_COUNTERS[label], label
 
 
 class TestSourceDeterminism:
@@ -195,15 +237,14 @@ class TestSourceDeterminism:
         assert "'join2'" in source
         assert f"codegen v{CODEGEN_VERSION}" in source
 
-    def test_fingerprint_separates_execution_modes(self):
+    def test_fingerprint_carries_generator_version(self):
         db = _fresh_database()
         maintainer = ViewMaintainer(db)
         maintainer.define_view("v", VIEW_SHAPES["join2"])
         nf = maintainer.view("v").definition.normal_form
-        assert plan_fingerprint(nf, True) != plan_fingerprint(nf, False)
-        assert plan_fingerprint(nf, True) == (
-            maintainer.expected_plan_fingerprint("v")
-        )
+        fingerprint = plan_fingerprint(nf)
+        assert fingerprint == maintainer.expected_plan_fingerprint("v")
+        assert fingerprint == (nf.fingerprint(), ("codegen", CODEGEN_VERSION))
 
 
 class TestConstraintDDL:
@@ -246,31 +287,73 @@ class TestConstraintDDL:
         maintainer.verify_all()
 
 
-class TestFallback:
-    def test_oversized_shape_falls_back_to_interpreter(self, monkeypatch):
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 0)
-        stream = [
-            [("r", (1, 6), False), ("s", (8, 8), False)],
-            [("r", (2, 7), True)],
-        ]
-        m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True)
-        assert c_gen.get("codegen_fallback_tuples", 0) > 0
-        assert m_gen.codegen_stats().fallback_tuples > 0
-        monkeypatch.undo()
-        _, c_int, v_int = _run_stream(stream, use_codegen=False)
-        assert v_gen == v_int
-        assert "codegen_fallback_tuples" not in c_int
+def _chain(width):
+    """A ``width``-occurrence chain join ``c0 ⋈ c1 ⋈ … ⋈ c{width-1}``."""
+    db = Database()
+    for i in range(width):
+        rows = [(v, v) for v in range(4)] + [(v, v + 1) for v in range(3)]
+        db.create_relation(f"c{i}", [f"X{i}", f"X{i + 1}"], rows)
+    expression = BaseRef("c0")
+    for i in range(1, width):
+        expression = expression.join(BaseRef(f"c{i}"))
+    return db, expression.project(["X0", f"X{width}"])
 
-    def test_wide_views_fall_back_at_registration(self, monkeypatch):
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_OPERANDS", 1)
-        stream = [[("r", (1, 6), False), ("s", (8, 8), False)]]
-        m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True)
-        monkeypatch.undo()
-        _, _, v_int = _run_stream(stream, use_codegen=False)
-        assert v_gen == v_int
-        # The joins exceeded the cap; the single-operand views did not.
-        assert c_gen.get("codegen_fallback_tuples", 0) > 0
-        assert m_gen.codegen_stats().plans_compiled > 0
+
+#: The ten-occurrence stream's counters, recorded with kernel generator
+#: version 3 (which executed views this wide tuple by tuple).
+WIDE_RECORDED_COUNTERS = {
+    "delta_rows_evaluated": 1150, "differential_updates": 2,
+    "filter_bound_probes": 27, "filter_tuples_checked": 27,
+    "index_probes": 6618, "join_probes": 12114,
+    "subexpression_memo_hits": 1146, "truth_table_rows": 1150,
+    "tuples_emitted": 11560, "tuples_ignored": 1425, "tuples_scanned": 41,
+}
+
+
+class TestWideViews:
+    def test_ten_occurrence_chain_matches_oracle(self):
+        db, expression = _chain(10)
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view("chain", expression)
+        recorder = CostRecorder()
+        # Seven changed occurrences: 2^7 - 1 = 127 truth-table rows.
+        with recording(recorder):
+            with db.transact() as txn:
+                for i in range(7):
+                    txn.insert(f"c{i}", (i % 4, (i + 2) % 4))
+        assert recorder.get("truth_table_rows") == 127
+        want = evaluate(expression, db.instances())
+        assert dict(view.contents.counts()) == dict(want.counts())
+        # All ten changed, inserts and deletes: 1023 rows.
+        with recording(recorder):
+            with db.transact() as txn:
+                for i in range(10):
+                    txn.insert(f"c{i}", (3, 0))
+                    txn.delete(f"c{i}", (i % 3, i % 3 + 1))
+        assert recorder.get("truth_table_rows") == 127 + 1023
+        want = evaluate(expression, db.instances())
+        assert dict(view.contents.counts()) == dict(want.counts())
+        counters = recorder.snapshot()
+        observed = {
+            name: counters[name]
+            for name in PARITY_COUNTERS
+            if counters.get(name, 0)
+        }
+        assert observed == WIDE_RECORDED_COUNTERS
+
+    def test_generated_source_grows_linearly(self):
+        lines = {}
+        for width in (5, 10):
+            db, expression = _chain(width)
+            maintainer = ViewMaintainer(db)
+            maintainer.define_view("chain", expression)
+            plan = maintainer.compiled_plan("chain")
+            shape = tuple(range(width))
+            source = generate_shape_source(
+                plan.planner_for(shape), codegen_rows(width, shape)
+            )
+            lines[width] = source.count("\n")
+        assert lines[10] <= 3 * lines[5], lines
 
 
 class TestDeltaBatch:
@@ -314,14 +397,12 @@ class TestStatsSurface:
         assert set(stats) == {
             "codegen_plans_compiled",
             "codegen_batch_rows",
-            "codegen_fallback_tuples",
         }
         assert stats["codegen_plans_compiled"] > 0
 
     def test_counters_reach_the_recorder(self):
         _, counters, _ = _run_stream(
-            [[("r", (1, 6), False)], [("s", (8, 8), False)]],
-            use_codegen=True,
+            [[("r", (1, 6), False)], [("s", (8, 8), False)]]
         )
         assert counters.get("codegen_plans_compiled", 0) > 0
         assert counters.get("codegen_batch_rows", 0) > 0

@@ -7,8 +7,9 @@ from repro.algebra.relation import Delta, Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.differential import compute_view_delta
+from repro.core.codegen import compile_shape_kernels
 from repro.core.planner import RowPlanner, evaluate_normal_form
-from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows
+from repro.core.truthtable import DeltaRowChoice
 from repro.instrumentation import CostRecorder, recording
 
 
@@ -190,14 +191,20 @@ class TestPlannerPlumbing:
     def test_always_empty_condition_short_circuits(self, catalog):
         nf = to_normal_form(BaseRef("r").select("1 = 2"), catalog)
         planner = RowPlanner(nf, changed_positions=[0])
+        assert planner.always_empty
         tagged = TaggedRelation(
             nf.qualified_schema.project_schema(
                 nf.occurrences[0].qualified_names()
             )
         )
         tagged.add((1, 2), Tag.INSERT)
-        out = planner.evaluate_rows(
-            enumerate_delta_rows(1, [0]),
-            [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}],
-        )
-        assert out.is_empty()
+        kernels = compile_shape_kernels(planner, "empty")
+        assert kernels.row_count == 0
+        recorder = CostRecorder()
+        with recording(recorder):
+            ins, dele = kernels.run(
+                [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}]
+            )
+        assert ins == {} and dele == {}
+        # Short-circuited before any row: nothing scanned or evaluated.
+        assert recorder.snapshot() == {}

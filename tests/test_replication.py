@@ -28,6 +28,7 @@ from repro import (
     check_view_consistency,
     recover,
 )
+from repro.errors import ConstraintViolationError, KeyViolationError
 from repro.instrumentation import CostRecorder, recording
 from repro.replication.checkpoints import (
     Checkpoint,
@@ -39,6 +40,7 @@ from repro.replication.wal import (
     WalReader,
     WalWriter,
     decode_line,
+    encode_declarations_record,
     encode_record,
     segment_paths,
 )
@@ -302,6 +304,221 @@ class TestCheckpoints:
         with pytest.raises(ReplicationError):
             latest_checkpoint_path(str(tmp_path / "nope"))
 
+
+class TestCheckpointDeclarations:
+    """Keys, foreign keys and constraints survive checkpoint + recover."""
+
+    def _keyed_leader(self, directory):
+        db = Database()
+        db.create_relation("p", ["A", "B"], [(1, 10), (2, 20)])
+        db.create_relation("q", ["C", "B"], [(5, 10)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("q", ["B"], "p", ["B"])
+        db.declare_constraint("p", "A < 100")
+        durability = DurabilityManager(db, directory, sync="never")
+        durability.checkpoint(ViewMaintainer(db))
+        with db.transact() as txn:
+            txn.insert("p", (3, 30))
+        durability.close()
+        return db
+
+    def test_recovered_leader_enforces_declarations(self, tmp_path):
+        directory = str(tmp_path)
+        self._keyed_leader(directory)
+        recovery, _ = recover(directory)
+        db = recovery.database
+        assert db.keys.keys_of("p") == (("B",),)
+        assert [fk.describe() for fk in db.keys.foreign_key_items()] == [
+            fk.describe()
+            for fk in Checkpoint.load(
+                latest_checkpoint_path(directory)
+            ).build_database().keys.foreign_key_items()
+        ]
+        with pytest.raises(KeyViolationError):
+            with db.transact() as txn:
+                txn.insert("p", (4, 10))
+        with pytest.raises(ConstraintViolationError):
+            with db.transact() as txn:
+                txn.insert("p", (500, 50))
+        with pytest.raises(KeyViolationError):
+            with db.transact() as txn:
+                txn.insert("q", (6, 99))  # dangles: no p row with B = 99
+        assert sorted(db.relation("p").value_tuples()) == [
+            (1, 10), (2, 20), (3, 30)
+        ]
+
+    def test_follower_starts_with_leader_declarations(self, tmp_path):
+        directory = str(tmp_path)
+        self._keyed_leader(directory)
+        follower = Follower(directory)
+        assert follower.database.keys.keys_of("p") == (("B",),)
+        assert follower.database.constraints.get("p") is not None
+        follower.poll()
+        with pytest.raises(KeyViolationError):
+            with follower.database.transact() as txn:
+                txn.insert("p", (4, 10))
+
+    def test_checkpoint_without_declaration_fields_still_loads(self, tmp_path):
+        directory = str(tmp_path)
+        self._keyed_leader(directory)
+        path = latest_checkpoint_path(directory)
+        with open(path, encoding="utf-8") as stream:
+            doc = json.load(stream)
+        for field in ("keys", "foreign_keys", "constraints"):
+            del doc[field]
+        db = Checkpoint(doc).build_database()
+        assert db.keys.keys_of("p") == ()
+        assert len(db.constraints) == 0
+        assert sorted(db.relation("p").value_tuples()) == [(1, 10), (2, 20)]
+
+
+class TestDeclarationsInWal:
+    """Declarations made or dropped after a checkpoint are WAL records,
+    so replay checks each commit against the declarations it was
+    committed under."""
+
+    def _leader(self, directory):
+        db = Database()
+        db.create_relation("p", ["A", "B"], [(1, 10), (2, 20)])
+        db.create_relation("q", ["C", "B"], [(5, 10)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("q", ["B"], "p", ["B"])
+        db.declare_constraint("p", "A < 100")
+        durability = DurabilityManager(db, directory, sync="never")
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", BaseRef("p").project(["B"]))
+        durability.checkpoint(maintainer)
+        return db, durability, maintainer
+
+    def test_declarations_record_codec(self):
+        doc = {"relation": "p", "keys": [["B"]], "foreign_keys": [],
+               "constraint": "A < 100"}
+        line = encode_declarations_record(9, doc)
+        record = decode_line(line.rstrip(b"\n"))
+        assert record.sequence == 9 and record.declarations == doc
+        assert record.deltas_doc == {}
+        assert decode_line(line.replace(b"100", b"101")) is None  # crc
+
+    def test_drops_after_checkpoint_replay_in_order(self, tmp_path):
+        directory = str(tmp_path)
+        db, durability, maintainer = self._leader(directory)
+        db.drop_constraint("p")
+        with db.transact() as txn:
+            txn.insert("p", (500, 30))  # would break the dropped constraint
+        db.drop_foreign_key("q", "p")
+        db.drop_key("p", ["B"])
+        with db.transact() as txn:
+            txn.insert("p", (3, 10))  # would break the dropped key
+            txn.insert("q", (6, 99))  # would dangle under the dropped FK
+        assert db.log.last_sequence() == durability.position
+        durability.close()
+
+        recovery, recovered = recover(
+            directory,
+            setup=lambda rec, m: rec.restore_view(
+                m, "v", BaseRef("p").project(["B"])
+            ),
+            verify=True,
+        )
+        assert recovery.last_sequence == durability.position
+        assert recovery.database.log.last_sequence() == durability.position
+        assert recovery.database.keys.keys_of("p") == ()
+        assert recovery.database.constraints.get("p") is None
+        assert sorted(recovery.database.relation("p").value_tuples()) == sorted(
+            db.relation("p").value_tuples()
+        )
+        assert (
+            recovered.view("v").contents.counts()
+            == maintainer.view("v").contents.counts()
+        )
+
+        follower = Follower(directory)
+        assert follower.poll() == 5  # two transactions, three declarations
+        assert follower.position == durability.position
+        assert sorted(follower.database.relation("q").value_tuples()) == [
+            (5, 10), (6, 99)
+        ]
+
+    def test_declarations_after_checkpoint_are_enforced_after_recover(
+        self, tmp_path
+    ):
+        directory = str(tmp_path)
+        db, durability, _ = self._leader(directory)
+        db.drop_key("q", None)  # no key on q: a no-op that fires nothing
+        db.declare_key("q", ["C"])
+        db.declare_constraint("q", "C < 50")
+        with db.transact() as txn:
+            txn.insert("q", (7, 20))
+        durability.close()
+
+        recovery, _ = recover(directory)
+        rdb = recovery.database
+        assert rdb.keys.keys_of("q") == (("C",),)
+        with pytest.raises(KeyViolationError):
+            with rdb.transact() as txn:
+                txn.insert("q", (7, 10))
+        with pytest.raises(ConstraintViolationError):
+            with rdb.transact() as txn:
+                txn.insert("q", (60, 10))
+        assert Follower(directory).poll() == 3
+
+    def test_resumed_leader_logs_after_recovered_sequence(self, tmp_path):
+        directory = str(tmp_path)
+        db, durability, _ = self._leader(directory)
+        db.drop_constraint("p")
+        durability.close()
+        recovery, _ = recover(directory)
+        resumed = DurabilityManager(recovery.database, directory, sync="never")
+        with recovery.database.transact() as txn:
+            txn.insert("p", (700, 70))
+        assert resumed.position == recovery.database.log.last_sequence() == 2
+        resumed.close()
+        again, _ = recover(directory)
+        assert (700, 70) in set(again.database.relation("p").value_tuples())
+
+    def test_base_free_follower_stops_when_its_premise_is_dropped(
+        self, tmp_path
+    ):
+        directory = str(tmp_path)
+        db, durability, _ = self._leader(directory)
+        bare = Follower(directory, base_free=True)
+        bare.define_view("fk", BaseRef("q").join(BaseRef("p")).project(["C", "B"]))
+        assert bare.maintainer.is_self_maintainable("fk")
+        with db.transact() as txn:
+            txn.insert("q", (8, 20))
+        db.drop_foreign_key("q", "p")
+        with db.transact() as txn:
+            txn.insert("q", (9, 77))
+        durability.close()
+
+        with pytest.raises(ReplicationError, match="self-maintainable"):
+            bare.poll()
+        assert bare.position == 1
+        assert bare.view("fk").contents.counts() == {(5, 10): 1, (8, 20): 1}
+
+    def test_base_free_counts_resume_when_the_view_key_is_dropped(
+        self, tmp_path
+    ):
+        directory = str(tmp_path)
+        db, durability, maintainer = self._leader(directory)
+        bare = Follower(directory, base_free=True)
+        bare.define_view("v", BaseRef("p").project(["B"]))
+        assert bare.maintainer.compiled_plan("v").counter_free
+        db.drop_foreign_key("q", "p")
+        db.drop_key("p", ["B"])
+        with db.transact() as txn:
+            txn.insert("p", (3, 10))  # B = 10 now backs two p rows
+        with db.transact() as txn:
+            txn.delete("p", (1, 10))
+        durability.close()
+
+        bare.poll()
+        assert not bare.maintainer.compiled_plan("v").counter_free
+        assert bare.view("v").contents.counts() == {(10,): 1, (20,): 1}
+        assert (
+            bare.view("v").contents.counts()
+            == maintainer.view("v").contents.counts()
+        )
 
 # ----------------------------------------------------------------------
 # Kill-and-recover round trip (the acceptance criterion)

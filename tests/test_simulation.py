@@ -484,20 +484,29 @@ class TestEpisodeDeterminism:
         config = SimulationConfig(seed=11, episodes=2, events=25)
         assert run_simulation(config).format() == run_simulation(config).format()
 
-    def test_interpreter_ablation_matches_codegen_batch(self):
-        # Toggling use_codegen switches every copy — leader, recovery,
-        # followers — to the per-tuple interpreter; the oracle rounds
-        # (full recompute, WAL replay, follower diff) must stay clean
-        # and the externally observable run must be identical.
-        compiled = run_simulation(
+    def test_batch_matches_recorded_run(self):
+        # Every copy — leader, recovery, followers — runs the generated
+        # kernels; the oracle rounds (full recompute, WAL replay,
+        # follower diff) must stay clean, and the externally observable
+        # run must match the one recorded for this seed with kernel
+        # generator version 3.
+        report = run_simulation(
             SimulationConfig(seed=11, episodes=2, events=25)
         )
-        interpreted = run_simulation(
-            SimulationConfig(seed=11, episodes=2, events=25, use_codegen=False)
-        )
-        assert compiled.ok, compiled.format()
-        assert interpreted.ok, interpreted.format()
-        assert compiled.format() == interpreted.format()
+        assert report.ok, report.format()
+        recorded = {
+            "base_free_rows_dropped": 15,
+            "checkpoints": 11,
+            "client_events_applied": 0,
+            "client_queries_verified": 8,
+            "client_reseeds": 13,
+            "crashes": 10,
+            "follower_records_applied": 16,
+            "oracle_checks": 4,
+            "recoveries": 5,
+            "txns": 10,
+        }
+        assert {name: report.stats[name] for name in recorded} == recorded
 
     def test_crash_episodes_recover_and_verify(self):
         # Hunt a few seeds for a schedule that actually crashes, then
@@ -748,24 +757,22 @@ class TestSimBatches:
     def test_smoke_batch_aggregates(self):
         """Aggregate-view coverage: every episode carries the grouped
         view ``va`` (plus aggregate follower views and an aggregate
-        changefeed subscriber), under crashes and partitions, in both
-        codegen modes — the oracle rounds pin its support bags, visible
-        rows and client mirrors to the full recompute."""
-        for use_codegen in (True, False):
-            config = SimulationConfig(
-                seed=2026,
-                episodes=6,
-                events=45,
-                followers=2,
-                clients=3,
-                crashes=True,
-                partitions=True,
-                ddl=True,
-                use_codegen=use_codegen,
-            )
-            report = run_simulation(config)
-            assert report.ok, report.format()
-            assert report.stats["oracle_checks"] >= 6
+        changefeed subscriber), under crashes and partitions — the
+        oracle rounds pin its support bags, visible rows and client
+        mirrors to the full recompute."""
+        config = SimulationConfig(
+            seed=2026,
+            episodes=6,
+            events=45,
+            followers=2,
+            clients=3,
+            crashes=True,
+            partitions=True,
+            ddl=True,
+        )
+        report = run_simulation(config)
+        assert report.ok, report.format()
+        assert report.stats["oracle_checks"] >= 6
 
     @pytest.mark.skipif(not FULL, reason="set REPRO_SIM_FULL=1 to run")
     def test_full_acceptance_batch(self):
